@@ -18,6 +18,18 @@ def mask_of(indices) -> int:
     return m
 
 
+def spread(x: int, elems) -> int:
+    """The mask of elems[i] over the set bits i of x (x indexes into elems)."""
+    out = 0
+    i = 0
+    while x:
+        if x & 1:
+            out |= 1 << elems[i]
+        x >>= 1
+        i += 1
+    return out
+
+
 def bits(mask: int):
     """Yield set-bit indices in ascending order."""
     while mask:

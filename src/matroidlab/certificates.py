@@ -7,7 +7,7 @@ minor replays directly against the root matroid.
 
 from dataclasses import dataclass
 
-from .bitset import bits, mask_of, popcount
+from .bitset import MAX_GROUND, bits, mask_of, popcount, spread
 from .errors import MalformedCertificate
 
 
@@ -129,19 +129,8 @@ def verify_certificate(cert, matroid, target=None) -> bool:
         live_after = matroid.live & ~cert.contract & ~cert.delete
         _require(image == live_after, "mapped elements do not match the surviving ground set")
         minor = matroid.minor(contract=cert.contract, delete=cert.delete)
-        pos = {t: cert.mapping[i] for i, t in enumerate(telems)}
         for sub in range(1 << len(telems)):
-            tmask = 0
-            mmask = 0
-            s = sub
-            i = 0
-            while s:
-                if s & 1:
-                    tmask |= 1 << telems[i]
-                    mmask |= 1 << pos[telems[i]]
-                s >>= 1
-                i += 1
-            if target.rank(tmask) != minor.rank(mmask):
+            if target.rank(spread(sub, telems)) != minor.rank(spread(sub, cert.mapping)):
                 return False
         return True
 
@@ -178,22 +167,34 @@ def certificate_to_dict(cert) -> dict:
     return {"type": kind, "sets": sets, "claims": claims}
 
 
+def _indices(values) -> list:
+    """Decoded element indices, each checked before any mask is built."""
+    values = list(values)
+    for i in values:
+        _require(type(i) is int and 0 <= i < MAX_GROUND, f"bad element index {i!r}")
+    return values
+
+
+def _mask(values) -> int:
+    return mask_of(_indices(values))
+
+
 def certificate_from_dict(d: dict):
     try:
         kind = d["type"]
         sets = d["sets"]
         claims = d.get("claims", {})
         if kind == "partition":
-            return Partition(mask_of(sets["part_a"]), mask_of(sets["part_b"]))
+            return Partition(_mask(sets["part_a"]), _mask(sets["part_b"]))
         if kind == "hyperplane-pair-cover":
-            return HyperplanePairCover(mask_of(sets["hyperplane_a"]),
-                                       mask_of(sets["hyperplane_b"]))
+            return HyperplanePairCover(_mask(sets["hyperplane_a"]),
+                                       _mask(sets["hyperplane_b"]))
         if kind == "contraction-line":
-            return ContractionLine(mask_of(sets["contract"]), mask_of(sets["line"]),
+            return ContractionLine(_mask(sets["contract"]), _mask(sets["line"]),
                                    int(claims["points"]))
         if kind == "minor-embedding":
-            return MinorEmbedding(mask_of(sets["contract"]), mask_of(sets["delete"]),
-                                  tuple(int(x) for x in sets["mapping"]),
+            return MinorEmbedding(_mask(sets["contract"]), _mask(sets["delete"]),
+                                  tuple(_indices(sets["mapping"])),
                                   str(claims.get("target", "")))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedCertificate(f"bad certificate payload: {exc}") from exc

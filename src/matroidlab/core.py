@@ -10,7 +10,7 @@ Loops are allowed everywhere; point counting ignores them, since
 contraction creates loops and the point count is insensitive to them.
 """
 
-from .bitset import bits, check_ground_size, lowest, mask_of, popcount
+from .bitset import bits, check_ground_size, lowest, mask_of, popcount, spread
 from .certificates import HyperplanePairCover, Partition
 from .errors import (OutOfRange, OverlapError, PreconditionFailed, RankZero,
                      SizeLimit)
@@ -431,25 +431,13 @@ class ExplicitMatroid(Matroid):
         n = len(elems)
         if n > cls.MAX_N:
             raise SizeLimit(f"cannot tabulate {n} elements")
-        expand = [1 << e for e in elems]
         table = [0] * (1 << n)
         for x in range(1, 1 << n):
-            table[x] = m.rank(_expand_mask(x, expand))
+            table[x] = m.rank(spread(x, elems))
         return cls(n, table, verify=verify)
 
     def __repr__(self):
         return f"ExplicitMatroid(n={self.n}, r={self.rank_full})"
-
-
-def _expand_mask(x: int, expand: list) -> int:
-    out = 0
-    i = 0
-    while x:
-        if x & 1:
-            out |= expand[i]
-        x >>= 1
-        i += 1
-    return out
 
 
 class MinorView(Matroid):

@@ -228,13 +228,17 @@ REGISTRY = {
 }
 
 
-def registry_catalog(name: str, cache_dir: str | None = None) -> Catalog:
+def registry_catalog(name: str, cache_dir: str | None = None,
+                     seed: int | None = None) -> Catalog:
     """Build a registered catalog, loading from / saving to the cache when a
-    directory is given (keyed by the spec hash, so stale entries never match)."""
+    directory is given (keyed by the spec hash, so stale entries never match).
+    A `seed` replaces the spec's seed; catalogs without one ignore it."""
     if name not in REGISTRY:
         raise ConfigError(f"unknown catalog {name!r}; known: {sorted(REGISTRY)}")
     spec = dict(REGISTRY[name])
     spec["name"] = name
+    if seed is not None and "seed" in spec:
+        spec["seed"] = seed
     if cache_dir:
         manifest = os.path.join(cache_dir, f"{name}-{spec_hash(spec)}.json")
         if os.path.exists(manifest):

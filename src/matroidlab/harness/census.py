@@ -95,59 +95,77 @@ def _max_eps_by_rank(records) -> dict:
     return out
 
 
-def check_kung_bound(catalog: Catalog, l: int,
-                     budget: MinorSearchBudget = DEFAULT_BUDGET) -> CensusReport:
-    """For every simple member with no (l+2)-point-line minor, check that the
-    point count is at most (l^r - 1)/(l - 1); the classical Kung bound,
-    valid for any integer l >= 2.  Equality cases are flagged as extremal."""
+def _census(command: str, catalog: Catalog, l: int, budget: MinorSearchBudget,
+            classify, summarize, with_q: bool = False) -> CensusReport:
+    """The member loop shared by the census commands: members in key order,
+    non-simple ones skipped, membership decided and unknowns counted.
+    `classify(rec, m, status, max_line, nodes, q)` completes each simple
+    member's record (its status preset unless in-class), `summarize(records,
+    q)` builds the summary.  With `with_q`, q is the largest prime power
+    <= l and a report parameter; otherwise it is None."""
     if l < 2:
         raise ValueError(f"need l >= 2, got {l}")
+    params = {"catalog": catalog.name, "spec": catalog.spec, "l": l}
+    q = None
+    if with_q:
+        q = params["q"] = largest_prime_power_leq(l)
     t0 = time.perf_counter()
     records = []
-    violations = []
-    extremal = []
     unknown = 0
     for member in sorted(catalog.members, key=lambda m: m.key):
         m = member.matroid
         rec = _base_record(member.key, m)
+        records.append(rec)
         if not rec["simple"]:
             rec["status"] = "skipped-not-simple"
-            records.append(rec)
             continue
         status, maxline, nodes = _membership(m, l, budget)
-        rec["max_line"] = maxline
-        rec["nodes"] = nodes
         if status == "unknown":
             rec["status"] = "unknown"
             unknown += 1
         elif status == "excluded":
             rec["status"] = "excluded-has-long-line"
+        classify(rec, m, status, maxline, nodes, q)
+    summary = summarize(records, q)
+    summary["unknown"] = unknown
+    return CensusReport(command=command, params=params, records=records,
+                        summary=summary, timing_seconds=time.perf_counter() - t0)
+
+
+def check_kung_bound(catalog: Catalog, l: int,
+                     budget: MinorSearchBudget = DEFAULT_BUDGET) -> CensusReport:
+    """For every simple member with no (l+2)-point-line minor, check that the
+    point count is at most (l^r - 1)/(l - 1); the classical Kung bound,
+    valid for any integer l >= 2.  Equality cases are flagged as extremal."""
+    violations = []
+    extremal = []
+
+    def classify(rec, m, status, maxline, nodes, q):
+        rec["max_line"] = maxline
+        rec["nodes"] = nodes
+        if status != "in-class":
+            return
+        bound = geometric_series_sum(l, m.rank_full)
+        rec["bound"] = bound
+        if m.epsilon() > bound:
+            rec["status"] = "violation"
+            violations.append({"key": rec["key"], "epsilon": m.epsilon(),
+                               "bound": bound, "rank": m.rank_full})
+        elif m.epsilon() == bound:
+            rec["status"] = "extremal"
+            extremal.append({"key": rec["key"], "rank": m.rank_full,
+                             "epsilon": m.epsilon()})
         else:
-            bound = geometric_series_sum(l, m.rank_full)
-            rec["bound"] = bound
-            if m.epsilon() > bound:
-                rec["status"] = "violation"
-                violations.append({"key": member.key, "epsilon": m.epsilon(),
-                                   "bound": bound, "rank": m.rank_full})
-            elif m.epsilon() == bound:
-                rec["status"] = "extremal"
-                extremal.append({"key": member.key, "rank": m.rank_full,
-                                 "epsilon": m.epsilon()})
-            else:
-                rec["status"] = "ok"
-        records.append(rec)
-    report = CensusReport(
-        command="check-kung",
-        params={"catalog": catalog.name, "spec": catalog.spec, "l": l},
-        records=records,
-        summary={"checked": sum(1 for r in records if r.get("status") in
-                                ("ok", "extremal", "violation")),
-                 "violations": violations, "extremal": extremal,
-                 "unknown": unknown,
-                 "max_epsilon_by_rank": _max_eps_by_rank(records),
-                 "bound": f"(l^r - 1)/(l - 1) with l = {l} (Kung point bound)"},
-        timing_seconds=time.perf_counter() - t0)
-    return report
+            rec["status"] = "ok"
+
+    def summarize(records, q):
+        return {"checked": sum(1 for r in records if r.get("status") in
+                               ("ok", "extremal", "violation")),
+                "violations": violations, "extremal": extremal,
+                "max_epsilon_by_rank": _max_eps_by_rank(records),
+                "bound": f"(l^r - 1)/(l - 1) with l = {l} (Kung point bound)"}
+
+    return _census("check-kung", catalog, l, budget, classify, summarize)
 
 
 def density_profile(catalog: Catalog, l: int,
@@ -158,57 +176,39 @@ def density_profile(catalog: Catalog, l: int,
     Report-only: the prime-power bound is an asymptotic statement (it needs
     sufficiently large rank), so small-rank excess is recorded as a finding,
     never as a failure."""
-    if l < 2:
-        raise ValueError(f"need l >= 2, got {l}")
-    q = largest_prime_power_leq(l)
-    t0 = time.perf_counter()
-    records = []
-    unknown = 0
     by_rank: dict = {}
-    for member in sorted(catalog.members, key=lambda m: m.key):
-        m = member.matroid
-        rec = _base_record(member.key, m)
-        if not rec["simple"]:
-            rec["status"] = "skipped-not-simple"
-            records.append(rec)
-            continue
-        status, maxline, nodes = _membership(m, l, budget)
+
+    def classify(rec, m, status, maxline, nodes, q):
         rec["max_line"] = maxline
-        if status == "unknown":
-            rec["status"] = "unknown"
-            unknown += 1
-        elif status == "excluded":
-            rec["status"] = "excluded-has-long-line"
-        else:
-            rec["status"] = "profiled"
-            rec["membership"] = {"kind": "exhaustive-search", "nodes": nodes,
-                                 "max_line": maxline}
-            r = m.rank_full
-            cur = by_rank.get(r)
-            if cur is None or m.epsilon() > cur["max_epsilon"]:
-                by_rank[r] = {"rank": r, "max_epsilon": m.epsilon(),
-                              "achievers": [member.key]}
-            elif m.epsilon() == cur["max_epsilon"]:
-                cur["achievers"].append(member.key)
-        records.append(rec)
-    table = []
-    for r in sorted(by_rank):
-        row = by_rank[r]
-        bound = geometric_series_sum(q, r)
-        table.append({"rank": r, "max_epsilon": row["max_epsilon"],
-                      "theta_q": bound,
-                      "excess": max(0, row["max_epsilon"] - bound),
-                      "achievers": ";".join(sorted(row["achievers"])[:4])})
-    report = CensusReport(
-        command="density-profile",
-        params={"catalog": catalog.name, "spec": catalog.spec, "l": l, "q": q},
-        records=records,
-        summary={"table": table, "unknown": unknown, "violations": [],
-                 "note": (f"q = {q} is the largest prime power <= {l}; the "
-                          "theta bound is asymptotic in the rank, so excess "
-                          "rows are findings, not failures")},
-        timing_seconds=time.perf_counter() - t0)
-    return report
+        if status != "in-class":
+            return
+        rec["status"] = "profiled"
+        rec["membership"] = {"kind": "exhaustive-search", "nodes": nodes,
+                             "max_line": maxline}
+        r = m.rank_full
+        cur = by_rank.get(r)
+        if cur is None or m.epsilon() > cur["max_epsilon"]:
+            by_rank[r] = {"rank": r, "max_epsilon": m.epsilon(),
+                          "achievers": [rec["key"]]}
+        elif m.epsilon() == cur["max_epsilon"]:
+            cur["achievers"].append(rec["key"])
+
+    def summarize(records, q):
+        table = []
+        for r in sorted(by_rank):
+            row = by_rank[r]
+            bound = geometric_series_sum(q, r)
+            table.append({"rank": r, "max_epsilon": row["max_epsilon"],
+                          "theta_q": bound,
+                          "excess": max(0, row["max_epsilon"] - bound),
+                          "achievers": ";".join(sorted(row["achievers"])[:4])})
+        return {"table": table, "violations": [],
+                "note": (f"q = {q} is the largest prime power <= {l}; the "
+                         "theta bound is asymptotic in the rank, so excess "
+                         "rows are findings, not failures")}
+
+    return _census("density-profile", catalog, l, budget, classify, summarize,
+                   with_q=True)
 
 
 def extremal_census(catalog: Catalog, l: int,
@@ -219,63 +219,39 @@ def extremal_census(catalog: Catalog, l: int,
     Rank >= 4 members that are extremal but not projective geometries are
     reported as findings (the extremal characterization is asymptotic);
     rank-3 hits carry the projective-plane caveat."""
-    if l < 2:
-        raise ValueError(f"need l >= 2, got {l}")
-    q = largest_prime_power_leq(l)
-    t0 = time.perf_counter()
-    records = []
     findings = []
     extremal = []
-    unknown = 0
-    for member in sorted(catalog.members, key=lambda m: m.key):
-        m = member.matroid
-        rec = _base_record(member.key, m)
-        if not rec["simple"]:
-            rec["status"] = "skipped-not-simple"
-            records.append(rec)
-            continue
-        status, maxline, _ = _membership(m, l, budget)
-        if status == "unknown":
-            rec["status"] = "unknown"
-            unknown += 1
-            records.append(rec)
-            continue
-        if status == "excluded":
-            rec["status"] = "excluded-has-long-line"
-            records.append(rec)
-            continue
+
+    def classify(rec, m, status, maxline, nodes, q):
+        if status != "in-class":
+            return
         r = m.rank_full
-        bound = geometric_series_sum(q, r)
-        if m.epsilon() != bound:
+        if m.epsilon() != geometric_series_sum(q, r):
             rec["status"] = "not-extremal"
-            records.append(rec)
-            continue
-        entry = {"key": member.key, "rank": r, "epsilon": m.epsilon()}
+            return
+        entry = {"key": rec["key"], "rank": r, "epsilon": m.epsilon()}
         if r <= 2:
             rec["status"] = "extremal-trivial-rank"
             entry["note"] = "rank too small for the recognizer"
             extremal.append(entry)
+            return
+        report_pg = is_projective_geometry(m)
+        if report_pg.order == q:
+            rec["status"] = "extremal-projective-geometry"
+            entry["order"] = q
+            if report_pg.plane:
+                entry["note"] = ("rank 3: projective-plane axioms only; "
+                                 "planes of order <= 8 are unique")
+            extremal.append(entry)
         else:
-            report_pg = is_projective_geometry(m)
-            if report_pg.order == q:
-                rec["status"] = "extremal-projective-geometry"
-                entry["order"] = q
-                if report_pg.plane:
-                    entry["note"] = ("rank 3: projective-plane axioms only; "
-                                     "planes of order <= 8 are unique")
-                extremal.append(entry)
-            else:
-                rec["status"] = "extremal-not-projective-geometry"
-                entry["failure"] = report_pg.failure or f"order {report_pg.order} != {q}"
-                findings.append(entry)
-        records.append(rec)
-    report = CensusReport(
-        command="extremal-census",
-        params={"catalog": catalog.name, "spec": catalog.spec, "l": l, "q": q},
-        records=records,
-        summary={"extremal": extremal, "findings": findings, "unknown": unknown,
-                 "violations": [],
-                 "note": ("non-geometry extremal members at small rank are "
-                          "findings; the characterization needs large rank")},
-        timing_seconds=time.perf_counter() - t0)
-    return report
+            rec["status"] = "extremal-not-projective-geometry"
+            entry["failure"] = report_pg.failure or f"order {report_pg.order} != {q}"
+            findings.append(entry)
+
+    def summarize(records, q):
+        return {"extremal": extremal, "findings": findings, "violations": [],
+                "note": ("non-geometry extremal members at small rank are "
+                         "findings; the characterization needs large rank")}
+
+    return _census("extremal-census", catalog, l, budget, classify, summarize,
+                   with_q=True)

@@ -86,7 +86,7 @@ def _mask_arg(text):
 
 
 def _budget(args):
-    if getattr(args, "budget", None):
+    if args.budget is not None:
         return bounded_budget(max_nodes=args.budget)
     return MinorSearchBudget()
 
@@ -122,7 +122,8 @@ def build_parser():
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--budget", type=int, default=None,
                    help="node cap for minor searches")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="reseed randomized catalogs")
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--canonical", action="store_true",
@@ -289,7 +290,7 @@ def _cmd(args):
         return EXIT_OK
     if cmd in ("check-kung", "density-profile", "extremal-census"):
         cache = args.cache_dir or catmod.cache_dir_from_env()
-        catalog = catmod.registry_catalog(args.catalog, cache_dir=cache)
+        catalog = catmod.registry_catalog(args.catalog, cache_dir=cache, seed=args.seed)
         fn = {"check-kung": check_kung_bound, "density-profile": density_profile,
               "extremal-census": extremal_census}[cmd]
         report = fn(catalog, args.l, _budget(args))
@@ -309,13 +310,7 @@ def _cmd(args):
         if not args.name:
             raise _UsageError("catalog build needs --name")
         out_dir = args.out or args.cache_dir or catmod.cache_dir_from_env(".")
-        if args.name not in catmod.REGISTRY:
-            raise _UsageError(f"unknown catalog {args.name!r}")
-        spec = dict(catmod.REGISTRY[args.name])
-        spec["name"] = args.name
-        if args.seed and "seed" in spec:
-            spec["seed"] = args.seed  # reseed randomized generators
-        catalog = catmod.build_catalog(spec)
+        catalog = catmod.registry_catalog(args.name, seed=args.seed)
         path = catmod.save_catalog(catalog, out_dir)
         print(path)
         return EXIT_OK
@@ -346,10 +341,12 @@ def main(argv=None) -> int:
                 args.cache_dir = cfg["cache_dir"]
             if "budget" in cfg and args.budget is None:
                 args.budget = int(cfg["budget"])
-            if "seed" in cfg and not args.seed:
+            if "seed" in cfg and args.seed is None:
                 args.seed = int(cfg["seed"])
             if "format" in cfg and args.format == "text":
                 args.format = cfg["format"]
+        if args.budget is not None and args.budget < 1:
+            raise _UsageError(f"budget must be >= 1, got {args.budget}")
         return _cmd(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

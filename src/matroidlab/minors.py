@@ -10,7 +10,7 @@ never a silent "no".
 
 from dataclasses import dataclass
 
-from .bitset import bits, lowest, mask_of
+from .bitset import bits, lowest, mask_of, spread
 from .certificates import ContractionLine, MinorEmbedding
 from .core import ExplicitMatroid, Matroid
 from .errors import (BudgetExceeded, PreconditionFailed, RankTooSmall,
@@ -107,6 +107,40 @@ def _best_line(minor: Matroid, stop_at: int | None = None):
     return best, best_flat
 
 
+class _Nodes:
+    __slots__ = ("count", "cap")
+
+    def __init__(self, cap):
+        self.count = 0
+        self.cap = cap
+
+    def tick(self) -> bool:
+        self.count += 1
+        return self.cap is not None and self.count > self.cap
+
+
+def _contractions(matroid: Matroid, max_depth: int):
+    """Yield (contract, minor) in DFS preorder over contraction sets of point
+    representatives, at most `max_depth` deep (a set's depth is its rank),
+    skipping sets whose closure was seen before.  A node's children are
+    built only when the caller resumes the generator after it."""
+    visited = {matroid.closure(0)}
+    stack = [(0, 0)]  # (contraction mask, depth)
+    while stack:
+        contract, depth = stack.pop()
+        minor = matroid.minor(contract=contract) if contract else matroid
+        yield contract, minor
+        if depth < max_depth:
+            children = []
+            for c in minor.points():
+                sub = contract | (1 << lowest(c))
+                closed = matroid.closure(sub)
+                if closed not in visited:
+                    visited.add(closed)
+                    children.append((sub, depth + 1))
+            stack.extend(reversed(children))
+
+
 def max_line_minor(matroid: Matroid, budget: MinorSearchBudget = DEFAULT_BUDGET,
                    stop_at: int | None = None) -> LineMinorResult:
     """Largest point count of a line in any minor of `matroid`.
@@ -114,48 +148,29 @@ def max_line_minor(matroid: Matroid, budget: MinorSearchBudget = DEFAULT_BUDGET,
     DFS over independent contraction sets built from point representatives,
     pruning repeated closures.  `stop_at` ends the search early once a line
     that large is found (the result is then exact as a lower bound >= stop_at).
+
+    `nodes` counts the contraction sets visited, a refused one included.
+    Run to completion with no depth cap, the search visits one set per flat
+    of rank <= r - 2 (the set's closure), so `nodes` is the number of those
+    flats; a search cut by `bounded_budget(max_nodes=c)` reports c + 1.
     """
     r = matroid.rank_full
     if r < 2:
         raise RankTooSmall(f"need rank >= 2, got {r}")
-    max_depth = r - 2
-    depth_cap = budget.depth_cap()
-    if depth_cap is not None:
-        max_depth = min(max_depth, depth_cap)
-    node_cap = budget.node_cap()
-    full_depth = max_depth == r - 2
-    nodes = 0
-    truncated = False
-    best = 0
-    best_cert = None
-    visited = {matroid.closure(0)}
-    stack = [(0, 0)]  # (contraction mask, depth)
-    while stack:
-        contract, depth = stack.pop()
-        nodes += 1
-        if node_cap is not None and nodes > node_cap:
-            truncated = True
-            break
-        minor = matroid.minor(contract=contract) if contract else matroid
+    cap = budget.depth_cap()
+    max_depth = r - 2 if cap is None else min(r - 2, cap)
+    nodes = _Nodes(budget.node_cap())
+    best, best_cert = 0, None
+    for contract, minor in _contractions(matroid, max_depth):
+        if nodes.tick():
+            return LineMinorResult(best, best_cert, False, nodes.count)
         count, flat = _best_line(minor, stop_at)
         if count > best:
             best = count
             best_cert = ContractionLine(contract, flat, count)
             if stop_at is not None and best >= stop_at:
-                return LineMinorResult(best, best_cert, True, nodes)
-        if depth < max_depth and minor.rank_full >= 3:
-            children = []
-            for c in minor.points():
-                e = lowest(c)
-                sub = contract | (1 << e)
-                closed = matroid.closure(sub)
-                if closed in visited:
-                    continue
-                visited.add(closed)
-                children.append((sub, depth + 1))
-            stack.extend(reversed(children))
-    exact = full_depth and not truncated
-    return LineMinorResult(best, best_cert, exact, nodes)
+                return LineMinorResult(best, best_cert, True, nodes.count)
+    return LineMinorResult(best, best_cert, max_depth == r - 2, nodes.count)
 
 
 def has_u2n_minor(matroid: Matroid, npoints: int,
@@ -173,18 +188,6 @@ def has_u2n_minor(matroid: Matroid, npoints: int,
     return MinorOutcome(UNKNOWN, None, res.nodes)
 
 
-class _Nodes:
-    __slots__ = ("count", "cap")
-
-    def __init__(self, cap):
-        self.count = 0
-        self.cap = cap
-
-    def tick(self) -> bool:
-        self.count += 1
-        return self.cap is not None and self.count > self.cap
-
-
 def _try_embed(minor: Matroid, target: Matroid, nodes: _Nodes):
     """Backtracking injection of target elements onto point representatives
     of `minor`, preserving the rank of every subset of the mapped prefix.
@@ -197,7 +200,7 @@ def _try_embed(minor: Matroid, target: Matroid, nodes: _Nodes):
         return None
     trank = [0] * (1 << k)
     for s in range(1, 1 << k):
-        trank[s] = target.rank(_spread(s, telems))
+        trank[s] = target.rank(spread(s, telems))
     mapping: list[int] = []
     used = set()
 
@@ -206,7 +209,7 @@ def _try_embed(minor: Matroid, target: Matroid, nodes: _Nodes):
         jbit = 1 << j
         for s in range(1 << j):
             full = s | jbit
-            if minor.rank(_spread_map(full, mapping)) != trank[full]:
+            if minor.rank(spread(full, mapping)) != trank[full]:
                 return False
         return True
 
@@ -233,28 +236,6 @@ class _OutOfNodes(Exception):
     pass
 
 
-def _spread(s: int, elems: list) -> int:
-    out = 0
-    i = 0
-    while s:
-        if s & 1:
-            out |= 1 << elems[i]
-        s >>= 1
-        i += 1
-    return out
-
-
-def _spread_map(s: int, mapping: list) -> int:
-    out = 0
-    i = 0
-    while s:
-        if s & 1:
-            out |= 1 << mapping[i]
-        s >>= 1
-        i += 1
-    return out
-
-
 def minor_isomorphic(matroid: Matroid, target: ExplicitMatroid,
                      budget: MinorSearchBudget = DEFAULT_BUDGET,
                      target_name: str = "") -> MinorOutcome:
@@ -271,32 +252,15 @@ def minor_isomorphic(matroid: Matroid, target: ExplicitMatroid,
     if max_c < 0:
         return MinorOutcome(ABSENT)
     nodes = _Nodes(budget.node_cap())
-    visited = {matroid.closure(0)}
-    stack = [0]
     try:
-        while stack:
-            contract = stack.pop()
+        for contract, minor in _contractions(matroid, max_c):
             if nodes.tick():
                 raise _OutOfNodes
-            minor = matroid.minor(contract=contract) if contract else matroid
             found = _try_embed(minor, target, nodes)
             if found is not None:
-                image = mask_of(found)
-                delete = minor.live & ~image
+                delete = minor.live & ~mask_of(found)
                 cert = MinorEmbedding(contract, delete, found, target_name)
                 return MinorOutcome(FOUND, cert, nodes.count)
-            depth = matroid.rank(contract)
-            if depth < max_c:
-                children = []
-                for c in minor.points():
-                    e = lowest(c)
-                    sub = contract | (1 << e)
-                    closed = matroid.closure(sub)
-                    if closed in visited:
-                        continue
-                    visited.add(closed)
-                    children.append(sub)
-                stack.extend(reversed(children))
     except _OutOfNodes:
         return MinorOutcome(UNKNOWN, None, nodes.count)
     return MinorOutcome(ABSENT, None, nodes.count)
@@ -349,30 +313,15 @@ def find_pg_minor(matroid: Matroid, m: int, q: int,
     Exhaustive over contraction closures by default, subject to the same
     embedding size bound as find_pg_restriction.
     """
-    nodes = _Nodes(budget.node_cap())
-    visited = {matroid.closure(0)}
-    stack = [0]
     max_c = matroid.rank_full - m
     if max_c < 0:
         return MinorOutcome(ABSENT)
-    while stack:
-        contract = stack.pop()
+    nodes = _Nodes(budget.node_cap())
+    for contract, minor in _contractions(matroid, max_c):
         if nodes.tick():
             return MinorOutcome(UNKNOWN, None, nodes.count)
-        minor = matroid.minor(contract=contract) if contract else matroid
         hit = find_pg_restriction(minor, m, q, embed_limit)
         if hit is not None:
             return MinorOutcome(FOUND, {"contract": contract, "restriction": hit},
                                 nodes.count)
-        if matroid.rank(contract) < max_c:
-            children = []
-            for c in minor.points():
-                e = lowest(c)
-                sub = contract | (1 << e)
-                closed = matroid.closure(sub)
-                if closed in visited:
-                    continue
-                visited.add(closed)
-                children.append(sub)
-            stack.extend(reversed(children))
     return MinorOutcome(ABSENT, None, nodes.count)

@@ -230,3 +230,44 @@ def test_round_dense_cli(capsys, monkeypatch, tmp_path):
                        stdin=emit_matrix(m))
     assert code == 0
     assert out.splitlines()[0] == "round-dense"
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_is_usage_error(capsys, monkeypatch, budget):
+    code, out, err = run(capsys, monkeypatch, ["--budget", budget, "max-line"],
+                         stdin=emit_matrix(pg(4, 2)))
+    assert code == 2 and out == ""
+    assert "usage error" in err and "budget" in err
+
+
+def test_config_budget_below_one_is_usage_error(capsys, monkeypatch, tmp_path):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("budget=0\n")
+    code, out, err = run(capsys, monkeypatch, ["--config", str(cfg), "max-line"],
+                         stdin=emit_matrix(pg(4, 2)))
+    assert code == 2 and out == ""
+    assert "usage error" in err and "budget" in err
+
+
+def _kung_json(capsys, monkeypatch, seed_args, extra=()):
+    argv = [*extra, *seed_args, "--format", "json", "--canonical",
+            "check-kung", "--catalog", "random-gf2-r4", "--l", "2"]
+    code, out, _ = run(capsys, monkeypatch, argv)
+    assert code == 0
+    return json.loads(out)
+
+
+def test_census_seed_reseeds_catalog(capsys, monkeypatch, tmp_path):
+    five = _kung_json(capsys, monkeypatch, ["--seed", "5"])
+    nine = _kung_json(capsys, monkeypatch, ["--seed", "9"])
+    assert five["params"]["spec"]["seed"] == 5 and nine["params"]["spec"]["seed"] == 9
+    # the members themselves change, not only the recorded spec
+    assert five["records"] != nine["records"]
+    assert _kung_json(capsys, monkeypatch, ["--seed", "5"]) == five
+    # --seed 0 is honoured and overrides a config seed
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("seed=5\n")
+    zero = _kung_json(capsys, monkeypatch, ["--seed", "0"], ["--config", str(cfg)])
+    assert zero == _kung_json(capsys, monkeypatch, ["--seed", "0"])
+    assert zero["params"]["spec"]["seed"] == 0 and zero["records"] != five["records"]
+    assert _kung_json(capsys, monkeypatch, [], ["--config", str(cfg)]) == five

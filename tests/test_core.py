@@ -373,6 +373,22 @@ def test_partition_malformed():
         verify_certificate(Partition(0b1, 0b1000), u)  # not a cover
 
 
+@pytest.mark.parametrize("bad", [10_000_000, -1, "3"])
+@pytest.mark.parametrize("field", ["contract", "line", "mapping"])
+def test_certificate_from_dict_rejects_bad_indices(bad, field):
+    from matroidlab import certificate_from_dict
+
+    if field == "mapping":
+        d = {"type": "minor-embedding", "claims": {"target": "fano"},
+             "sets": {"contract": [], "delete": [], "mapping": [0, bad]}}
+    else:
+        d = {"type": "contraction-line", "claims": {"points": 3},
+             "sets": {"contract": [], "line": [0, 1]}}
+        d["sets"][field] = [2, bad]
+    with pytest.raises(MalformedCertificate):
+        certificate_from_dict(d)
+
+
 def test_ground_cap():
     with pytest.raises(SizeLimit):
         UniformMatroid(2, 2000)

@@ -224,3 +224,29 @@ def test_require_exact_and_decided():
     with pytest.raises(BudgetExceeded):
         undecided.require_decided()
     assert has_u2n_minor(pg(3, 2), 4).require_decided().status == ABSENT
+
+
+def _flats_up_to(m, top):
+    return sum(len(m.flats_of_rank(k)) for k in range(top + 1))
+
+
+@pytest.mark.parametrize("m, want", [(pg(3, 2), 8), (pg(4, 2), 51), (pg(3, 3), 14),
+                                     (UniformMatroid(4, 8), 37)])
+def test_nodes_count_flats_of_corank_two_and_up(m, want):
+    # one visited contraction set per flat of rank <= r - 2 (its closure)
+    res = max_line_minor(m)
+    assert res.exact and res.nodes == _flats_up_to(m, m.rank_full - 2) == want
+
+
+@pytest.mark.parametrize("m, want", [(pg(3, 2), 1), (pg(4, 2), 16),
+                                     (UniformMatroid(4, 8), 9)])
+def test_pg_minor_absent_nodes_count_flats(m, want):
+    out = find_pg_minor(m, 3, 3)
+    assert out.status == ABSENT
+    assert out.nodes == _flats_up_to(m, m.rank_full - 3) == want
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 7])
+def test_node_cap_reports_the_refused_node(cap):
+    res = max_line_minor(pg(4, 2), bounded_budget(max_nodes=cap))
+    assert res.nodes == cap + 1 and res.exact is False

@@ -19,9 +19,8 @@ from .geometry import (PgReport, geometric_series_sum, is_projective_geometry,
                        pg, subfield_subgeometry, theta)
 from .matrixio import emit_matrix, parse_matrix
 from .minors import (ABSENT, FOUND, UNKNOWN, LineMinorResult, MinorOutcome,
-                     MinorSearchBudget, bounded_budget, find_pg_minor,
-                     find_pg_restriction, has_u2n_minor, max_line_minor,
-                     minor_isomorphic)
+                     find_pg_minor, find_pg_restriction, has_u2n_minor,
+                     max_line_minor, minor_isomorphic)
 from .procedures import (DensityTarget, DensityThreshold, GrowthPolicy,
                          RoundDenseOutcome, gap_check, largest_prime_power_leq,
                          line_from_line_and_plane, prime_powers_up_to,

@@ -81,8 +81,8 @@ def verify_certificate(cert, matroid, target=None) -> bool:
     """Replay `cert` against `matroid`; True iff the claim checks out.
 
     Structurally invalid certificates (elements outside the ground set,
-    overlapping sets, a missing target) raise MalformedCertificate; claims
-    that merely fail return False.
+    bad mapping indices, overlapping sets, a missing target) raise
+    MalformedCertificate; claims that merely fail return False.
     """
     if isinstance(cert, Partition):
         _check_inside(matroid, cert.part_a, "part_a")
@@ -124,7 +124,7 @@ def verify_certificate(cert, matroid, target=None) -> bool:
             target = target_from_descriptor(cert.target)
         telems = list(bits(target.live))
         _require(len(cert.mapping) == len(telems), "mapping size differs from target size")
-        image = mask_of(cert.mapping)
+        image = _mask(cert.mapping)
         _require(popcount(image) == len(cert.mapping), "mapping is not injective")
         live_after = matroid.live & ~cert.contract & ~cert.delete
         _require(image == live_after, "mapped elements do not match the surviving ground set")

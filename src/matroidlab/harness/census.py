@@ -1,7 +1,7 @@
 """Census runs: point-count bound checks, density profiles, extremal scans.
 
 Reports separate three kinds of outcome: pass, violation, and unknown
-(budget ran out); unknowns are never counted as either of the others.
+(the node cap ran out); unknowns are never counted as either of the others.
 Records are keyed and sorted, and the canonical JSON encoding (timing
 zeroed, sorted keys) is byte-stable for a fixed seed and version.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .. import __version__
 from ..bitset import popcount
 from ..geometry import geometric_series_sum, is_projective_geometry
-from ..minors import DEFAULT_BUDGET, MinorSearchBudget, max_line_minor
+from ..minors import max_line_minor
 from ..procedures import largest_prime_power_leq
 from .catalogs import Catalog
 
@@ -67,12 +67,12 @@ class CensusReport:
         return self.summary.get("unknown", 0)
 
 
-def _membership(matroid, l: int, budget: MinorSearchBudget):
+def _membership(matroid, l: int, max_nodes: int | None):
     """Three-valued membership in the no-(l+2)-point-line class, via
     exhaustive line-minor search: (status, max_line or None, nodes)."""
     if matroid.rank_full < 2:
         return "in-class", 1, 0
-    res = max_line_minor(matroid, budget, stop_at=l + 2)
+    res = max_line_minor(matroid, max_nodes, stop_at=l + 2)
     if res.points >= l + 2:
         return "excluded", res.points, res.nodes
     if res.exact:
@@ -95,7 +95,7 @@ def _max_eps_by_rank(records) -> dict:
     return out
 
 
-def _census(command: str, catalog: Catalog, l: int, budget: MinorSearchBudget,
+def _census(command: str, catalog: Catalog, l: int, max_nodes: int | None,
             classify, summarize, with_q: bool = False) -> CensusReport:
     """The member loop shared by the census commands: members in key order,
     non-simple ones skipped, membership decided and unknowns counted.
@@ -119,7 +119,7 @@ def _census(command: str, catalog: Catalog, l: int, budget: MinorSearchBudget,
         if not rec["simple"]:
             rec["status"] = "skipped-not-simple"
             continue
-        status, maxline, nodes = _membership(m, l, budget)
+        status, maxline, nodes = _membership(m, l, max_nodes)
         if status == "unknown":
             rec["status"] = "unknown"
             unknown += 1
@@ -133,7 +133,7 @@ def _census(command: str, catalog: Catalog, l: int, budget: MinorSearchBudget,
 
 
 def check_kung_bound(catalog: Catalog, l: int,
-                     budget: MinorSearchBudget = DEFAULT_BUDGET) -> CensusReport:
+                     max_nodes: int | None = None) -> CensusReport:
     """For every simple member with no (l+2)-point-line minor, check that the
     point count is at most (l^r - 1)/(l - 1); the classical Kung bound,
     valid for any integer l >= 2.  Equality cases are flagged as extremal."""
@@ -165,11 +165,11 @@ def check_kung_bound(catalog: Catalog, l: int,
                 "max_epsilon_by_rank": _max_eps_by_rank(records),
                 "bound": f"(l^r - 1)/(l - 1) with l = {l} (Kung point bound)"}
 
-    return _census("check-kung", catalog, l, budget, classify, summarize)
+    return _census("check-kung", catalog, l, max_nodes, classify, summarize)
 
 
 def density_profile(catalog: Catalog, l: int,
-                    budget: MinorSearchBudget = DEFAULT_BUDGET) -> CensusReport:
+                    max_nodes: int | None = None) -> CensusReport:
     """Max point count per rank among members with no (l+2)-point-line
     minor, against theta(q, r) for q the largest prime power <= l.
 
@@ -207,12 +207,12 @@ def density_profile(catalog: Catalog, l: int,
                          "theta bound is asymptotic in the rank, so excess "
                          "rows are findings, not failures")}
 
-    return _census("density-profile", catalog, l, budget, classify, summarize,
+    return _census("density-profile", catalog, l, max_nodes, classify, summarize,
                    with_q=True)
 
 
 def extremal_census(catalog: Catalog, l: int,
-                    budget: MinorSearchBudget = DEFAULT_BUDGET) -> CensusReport:
+                    max_nodes: int | None = None) -> CensusReport:
     """Among simple members in the no-(l+2)-point-line class whose point
     count equals theta(q, r), run the projective-geometry recognizer.
 
@@ -253,5 +253,5 @@ def extremal_census(catalog: Catalog, l: int,
                 "note": ("non-geometry extremal members at small rank are "
                          "findings; the characterization needs large rank")}
 
-    return _census("extremal-census", catalog, l, budget, classify, summarize,
+    return _census("extremal-census", catalog, l, max_nodes, classify, summarize,
                    with_q=True)

@@ -16,8 +16,8 @@ from ..core import UniformMatroid
 from ..errors import MatroidlabError
 from ..geometry import is_projective_geometry, pg
 from ..matrixio import emit_matrix, parse_matrix
-from ..minors import (FOUND, UNKNOWN, MinorSearchBudget, bounded_budget,
-                      has_u2n_minor, max_line_minor, minor_isomorphic)
+from ..minors import (FOUND, UNKNOWN, has_u2n_minor, max_line_minor,
+                      minor_isomorphic)
 from ..procedures import (DensityTarget, GrowthPolicy, gap_check,
                           largest_prime_power_leq, line_from_line_and_plane,
                           round_dense_restriction, round_restriction,
@@ -83,12 +83,6 @@ def _mask_arg(text):
     if not text:
         return 0
     return mask_of(int(t) for t in text.split(","))
-
-
-def _budget(args):
-    if args.budget is not None:
-        return bounded_budget(max_nodes=args.budget)
-    return MinorSearchBudget()
 
 
 def _emit(args, payload, text_lines):
@@ -236,9 +230,9 @@ def _cmd(args):
         m = _load_matroid(args.input)
         target, tname = _parse_target(args.target)
         if target.rank_full == 2 and target.is_simple():
-            outcome = has_u2n_minor(m, target.size, _budget(args))
+            outcome = has_u2n_minor(m, target.size, args.budget)
         else:
-            outcome = minor_isomorphic(m, to_explicit(target), _budget(args),
+            outcome = minor_isomorphic(m, to_explicit(target), args.budget,
                                        target_name=tname)
         payload = {"status": outcome.status, "nodes": outcome.nodes}
         lines = [outcome.status]
@@ -249,7 +243,7 @@ def _cmd(args):
         return EXIT_OK if outcome.status != UNKNOWN else EXIT_UNKNOWN
     if cmd == "max-line":
         m = _load_matroid(args.input)
-        res = max_line_minor(m, _budget(args))
+        res = max_line_minor(m, args.budget)
         payload = {"points": res.points, "exact": res.exact, "nodes": res.nodes,
                    "certificate": certificate_to_dict(res.certificate)
                    if res.certificate else None}
@@ -293,7 +287,7 @@ def _cmd(args):
         catalog = catmod.registry_catalog(args.catalog, cache_dir=cache, seed=args.seed)
         fn = {"check-kung": check_kung_bound, "density-profile": density_profile,
               "extremal-census": extremal_census}[cmd]
-        report = fn(catalog, args.l, _budget(args))
+        report = fn(catalog, args.l, args.budget)
         return _report_out(args, report)
     if cmd == "verify-cert":
         with open(args.cert) as fh:

@@ -3,9 +3,9 @@ projective-geometry restrictions.
 
 Searches contract point representatives only (parallel elements give the
 same minor) and skip any contraction whose closure has been seen before
-(equal closures give minors with identical point structure).  Budgets make
-exhaustion explicit: a search that runs out of nodes reports `unknown`,
-never a silent "no".
+(equal closures give minors with identical point structure).  Searches are
+exhaustive unless given a node cap `max_nodes`, and a search that runs out
+of nodes reports `unknown`, never a silent "no".
 """
 
 from dataclasses import dataclass
@@ -20,38 +20,6 @@ from .geometry import is_projective_geometry, pg, theta
 FOUND = "found"
 ABSENT = "absent"
 UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class MinorSearchBudget:
-    """Limits for minor searches.
-
-    `max_nodes` bounds expanded search states; `max_depth` bounds the
-    contraction depth.  With `exhaustive` set (the default) the limits are
-    ignored and the search runs to completion, guaranteeing exactness; with
-    it cleared, hitting a limit is reported as an inexact or unknown
-    outcome, never as a silent "no".
-    """
-
-    max_depth: int | None = None
-    max_nodes: int | None = None
-    exhaustive: bool = True
-
-    def node_cap(self) -> int | None:
-        return None if self.exhaustive else self.max_nodes
-
-    def depth_cap(self) -> int | None:
-        return None if self.exhaustive else self.max_depth
-
-
-DEFAULT_BUDGET = MinorSearchBudget()
-
-
-def bounded_budget(max_nodes: int | None = None,
-                   max_depth: int | None = None) -> MinorSearchBudget:
-    """A budget whose limits actually apply."""
-    return MinorSearchBudget(max_depth=max_depth, max_nodes=max_nodes,
-                             exhaustive=False)
 
 
 @dataclass
@@ -141,7 +109,7 @@ def _contractions(matroid: Matroid, max_depth: int):
             stack.extend(reversed(children))
 
 
-def max_line_minor(matroid: Matroid, budget: MinorSearchBudget = DEFAULT_BUDGET,
+def max_line_minor(matroid: Matroid, max_nodes: int | None = None,
                    stop_at: int | None = None) -> LineMinorResult:
     """Largest point count of a line in any minor of `matroid`.
 
@@ -150,18 +118,16 @@ def max_line_minor(matroid: Matroid, budget: MinorSearchBudget = DEFAULT_BUDGET,
     that large is found (the result is then exact as a lower bound >= stop_at).
 
     `nodes` counts the contraction sets visited, a refused one included.
-    Run to completion with no depth cap, the search visits one set per flat
-    of rank <= r - 2 (the set's closure), so `nodes` is the number of those
-    flats; a search cut by `bounded_budget(max_nodes=c)` reports c + 1.
+    Run to completion, the search visits one set per flat of rank <= r - 2
+    (the set's closure), so `nodes` is the number of those flats; a search
+    cut by `max_nodes=c` reports c + 1 and is inexact.
     """
     r = matroid.rank_full
     if r < 2:
         raise RankTooSmall(f"need rank >= 2, got {r}")
-    cap = budget.depth_cap()
-    max_depth = r - 2 if cap is None else min(r - 2, cap)
-    nodes = _Nodes(budget.node_cap())
+    nodes = _Nodes(max_nodes)
     best, best_cert = 0, None
-    for contract, minor in _contractions(matroid, max_depth):
+    for contract, minor in _contractions(matroid, r - 2):
         if nodes.tick():
             return LineMinorResult(best, best_cert, False, nodes.count)
         count, flat = _best_line(minor, stop_at)
@@ -170,17 +136,17 @@ def max_line_minor(matroid: Matroid, budget: MinorSearchBudget = DEFAULT_BUDGET,
             best_cert = ContractionLine(contract, flat, count)
             if stop_at is not None and best >= stop_at:
                 return LineMinorResult(best, best_cert, True, nodes.count)
-    return LineMinorResult(best, best_cert, max_depth == r - 2, nodes.count)
+    return LineMinorResult(best, best_cert, True, nodes.count)
 
 
 def has_u2n_minor(matroid: Matroid, npoints: int,
-                  budget: MinorSearchBudget = DEFAULT_BUDGET) -> MinorOutcome:
+                  max_nodes: int | None = None) -> MinorOutcome:
     """Does `matroid` have an `npoints`-point line as a minor?"""
     if npoints < 3:
         raise PreconditionFailed(f"need npoints >= 3, got {npoints}")
     if matroid.rank_full < 2:
         return MinorOutcome(ABSENT)
-    res = max_line_minor(matroid, budget, stop_at=npoints)
+    res = max_line_minor(matroid, max_nodes, stop_at=npoints)
     if res.points >= npoints:
         return MinorOutcome(FOUND, res.certificate, res.nodes)
     if res.exact:
@@ -192,7 +158,7 @@ def _try_embed(minor: Matroid, target: Matroid, nodes: _Nodes):
     """Backtracking injection of target elements onto point representatives
     of `minor`, preserving the rank of every subset of the mapped prefix.
     Returns the mapping (base elements, in target element order) or None;
-    raises _OutOfNodes when the budget runs out."""
+    raises _OutOfNodes when the node cap runs out."""
     telems = list(bits(target.live))
     k = len(telems)
     reps = [lowest(c) for c in minor.points()]
@@ -237,7 +203,7 @@ class _OutOfNodes(Exception):
 
 
 def minor_isomorphic(matroid: Matroid, target: ExplicitMatroid,
-                     budget: MinorSearchBudget = DEFAULT_BUDGET,
+                     max_nodes: int | None = None,
                      target_name: str = "") -> MinorOutcome:
     """Search for a minor of `matroid` isomorphic to a tiny simple target.
 
@@ -251,7 +217,7 @@ def minor_isomorphic(matroid: Matroid, target: ExplicitMatroid,
     max_c = matroid.rank_full - target.rank_full
     if max_c < 0:
         return MinorOutcome(ABSENT)
-    nodes = _Nodes(budget.node_cap())
+    nodes = _Nodes(max_nodes)
     try:
         for contract, minor in _contractions(matroid, max_c):
             if nodes.tick():
@@ -306,7 +272,7 @@ def find_pg_restriction(matroid: Matroid, m: int, q: int,
 
 
 def find_pg_minor(matroid: Matroid, m: int, q: int,
-                  budget: MinorSearchBudget = DEFAULT_BUDGET,
+                  max_nodes: int | None = None,
                   embed_limit: int = PG_EMBED_LIMIT) -> MinorOutcome:
     """Contract-then-look-for-a-restriction search for a PG(m-1, q)-minor.
 
@@ -316,7 +282,7 @@ def find_pg_minor(matroid: Matroid, m: int, q: int,
     max_c = matroid.rank_full - m
     if max_c < 0:
         return MinorOutcome(ABSENT)
-    nodes = _Nodes(budget.node_cap())
+    nodes = _Nodes(max_nodes)
     for contract, minor in _contractions(matroid, max_c):
         if nodes.tick():
             return MinorOutcome(UNKNOWN, None, nodes.count)

@@ -12,7 +12,6 @@ surfaced as InternalContradiction, never a silent wrong answer).
 All density comparisons are exact: thresholds are Fractions, counts are ints.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,37 +26,39 @@ from .minors import ABSENT, FOUND, has_u2n_minor
 
 # -- prime powers ------------------------------------------------------------
 
-_pp_list: list = []
-_pp_limit = 0
+# is_prime_power tries divisors up to sqrt(q), so this cap keeps one lookup
+# within milliseconds
+MAX_L = 10 ** 9
 
 
 def prime_powers_up_to(limit: int) -> list:
-    """Sorted prime powers <= limit (cached, grows monotonically)."""
-    global _pp_list, _pp_limit
-    if limit > _pp_limit:
-        sieve = bytearray([1]) * (limit + 1)
-        sieve[0:2] = b"\x00\x00"
-        powers = []
-        for p in range(2, limit + 1):
-            if sieve[p]:
-                for m in range(p * p, limit + 1, p):
-                    sieve[m] = 0
-                v = p
-                while v <= limit:
-                    powers.append(v)
-                    v *= p
-        powers.sort()
-        _pp_list = powers
-        _pp_limit = limit
-    idx = bisect_right(_pp_list, limit)
-    return _pp_list[:idx]
+    """Sorted prime powers <= limit, by a sieve of size limit."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0:2] = b"\x00\x00"
+    powers = []
+    for p in range(2, limit + 1):
+        if sieve[p]:
+            for m in range(p * p, limit + 1, p):
+                sieve[m] = 0
+            v = p
+            while v <= limit:
+                powers.append(v)
+                v *= p
+    powers.sort()
+    return powers
 
 
 def largest_prime_power_leq(l: int) -> int:
+    """The largest prime power <= l, counting down from l in constant
+    memory; 2 <= l <= MAX_L."""
     if l < 2:
         raise PreconditionFailed(f"need l >= 2, got {l}")
-    pps = prime_powers_up_to(max(l, 64))
-    return pps[bisect_right(pps, l) - 1]
+    if l > MAX_L:
+        raise PreconditionFailed(f"need l <= {MAX_L}, got {l}")
+    q = l
+    while not is_prime_power(q):
+        q -= 1
+    return q
 
 
 def gap_check(l: int) -> bool:

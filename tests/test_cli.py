@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import matroidlab
 from matroidlab import bits, emit_matrix, pg
 from matroidlab.harness.catalogs import fano_plus_point
 from matroidlab.harness.cli import main
@@ -205,6 +210,27 @@ def test_config_unknown_key(capsys, monkeypatch, tmp_path):
 def test_gap_check_cli(capsys, monkeypatch):
     code, out, _ = run(capsys, monkeypatch, ["gap-check", "6"])
     assert code == 0 and "q=5" in out
+
+
+def test_gap_check_above_cap_is_usage_error(capsys, monkeypatch):
+    from matroidlab.procedures import MAX_L
+
+    code, _, err = run(capsys, monkeypatch, ["gap-check", str(MAX_L + 1)])
+    assert code == 2 and f"l <= {MAX_L}" in err
+
+
+def test_cli_and_census_run_without_numpy():
+    script = ("import sys\n"
+              "import matroidlab, matroidlab.harness.census\n"
+              "from matroidlab.harness.cli import main\n"
+              "assert main(['gap-check', '6']) == 0\n"
+              "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    src = str(Path(matroidlab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_is_pg_cli(capsys, monkeypatch):

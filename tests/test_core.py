@@ -389,6 +389,15 @@ def test_certificate_from_dict_rejects_bad_indices(bad, field):
         certificate_from_dict(d)
 
 
+@pytest.mark.parametrize("bad", [-1, "3"])
+def test_verify_certificate_rejects_bad_mapping_indices(bad):
+    from matroidlab import MinorEmbedding
+
+    cert = MinorEmbedding(0, 0, (bad, 1, 2), "uniform:2,3")
+    with pytest.raises(MalformedCertificate):
+        verify_certificate(cert, pg(3, 2))
+
+
 def test_ground_cap():
     with pytest.raises(SizeLimit):
         UniformMatroid(2, 2000)

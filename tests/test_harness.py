@@ -105,6 +105,16 @@ def test_oracle_rank_axioms_detects_planted_violation():
         oracles.oracle_rank_axioms(bad)
 
 
+@pytest.mark.parametrize("n, table, broken", [
+    (2, [0, 2, 2, 2], "0 <= rank <= |X| fails"),  # breaks only the bound
+    (3, [0, 1, 1, 1, 1, 2, 1, 2], "submodularity fails"),  # {0,1} vs {1,2}
+])
+def test_oracle_rank_axioms_names_the_broken_axiom(n, table, broken):
+    with pytest.raises(AssertionError) as exc:
+        oracles.oracle_rank_axioms(ExplicitMatroid(n, table, verify=False))
+    assert str(exc.value) == broken
+
+
 def test_oracle_size_limits():
     with pytest.raises(SizeLimit):
         oracles.oracle_rank_axioms(pg(4, 2))
@@ -175,9 +185,8 @@ def test_check_kung_pg32_restrictions():
 
 
 def test_check_kung_unknowns_with_tiny_budget():
-    from matroidlab import bounded_budget
     c = cat.registry_catalog("named-small")
-    report = check_kung_bound(c, 3, bounded_budget(max_nodes=1))
+    report = check_kung_bound(c, 3, max_nodes=1)
     assert report.unknowns > 0
 
 

@@ -3,9 +3,8 @@ paths cross-checked against the literal enumeration oracles."""
 
 import pytest
 
-from matroidlab import (ABSENT, FOUND, UNKNOWN, MinorSearchBudget,
-                        UniformMatroid, bits, bounded_budget, find_pg_minor,
-                        find_pg_restriction, has_u2n_minor, mask_of,
+from matroidlab import (ABSENT, FOUND, UNKNOWN, UniformMatroid, bits,
+                        find_pg_minor, find_pg_restriction, has_u2n_minor, mask_of,
                         max_line_minor, minor_isomorphic, pg, popcount,
                         subfield_subgeometry, verify_certificate)
 from matroidlab.errors import RankTooSmall, TargetTooLarge
@@ -38,11 +37,8 @@ def test_max_line_rank_too_small():
 
 
 def test_max_line_budget_unknown():
-    res = max_line_minor(pg(4, 2), bounded_budget(max_nodes=2))
+    res = max_line_minor(pg(4, 2), max_nodes=2)
     assert not res.exact
-    # an exhaustive budget ignores the cap entirely
-    full = max_line_minor(pg(4, 2), MinorSearchBudget(max_nodes=2, exhaustive=True))
-    assert full.exact and full.points == 3
 
 
 def test_has_u2n_fano_no_4pt():
@@ -66,7 +62,7 @@ def test_has_u2n_fano_plus_point():
 
 
 def test_has_u2n_budget_unknown():
-    out = has_u2n_minor(pg(4, 2), 4, bounded_budget(max_nodes=1))
+    out = has_u2n_minor(pg(4, 2), 4, max_nodes=1)
     assert out.status == UNKNOWN
 
 
@@ -147,8 +143,7 @@ def test_target_too_large():
 
 
 def test_minor_isomorphic_budget():
-    out = minor_isomorphic(pg(4, 2), to_explicit(pg(3, 2)),
-                           bounded_budget(max_nodes=3))
+    out = minor_isomorphic(pg(4, 2), to_explicit(pg(3, 2)), max_nodes=3)
     assert out.status in (FOUND, UNKNOWN)
 
 
@@ -217,10 +212,10 @@ def test_require_exact_and_decided():
 
     full = max_line_minor(pg(3, 2))
     assert full.require_exact() is full
-    cut = max_line_minor(pg(4, 2), bounded_budget(max_nodes=2))
+    cut = max_line_minor(pg(4, 2), max_nodes=2)
     with pytest.raises(BudgetExceeded):
         cut.require_exact()
-    undecided = has_u2n_minor(pg(4, 2), 4, bounded_budget(max_nodes=1))
+    undecided = has_u2n_minor(pg(4, 2), 4, max_nodes=1)
     with pytest.raises(BudgetExceeded):
         undecided.require_decided()
     assert has_u2n_minor(pg(3, 2), 4).require_decided().status == ABSENT
@@ -248,5 +243,5 @@ def test_pg_minor_absent_nodes_count_flats(m, want):
 
 @pytest.mark.parametrize("cap", [0, 1, 2, 7])
 def test_node_cap_reports_the_refused_node(cap):
-    res = max_line_minor(pg(4, 2), bounded_budget(max_nodes=cap))
+    res = max_line_minor(pg(4, 2), max_nodes=cap)
     assert res.nodes == cap + 1 and res.exact is False

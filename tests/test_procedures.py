@@ -1,6 +1,7 @@
 """Density procedures: skew extraction, round descent, the dichotomy, the
 line-and-plane contraction, prime-power arithmetic."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,24 @@ def test_gap_check_small_sweep():
 def test_largest_prime_power_rejects_small():
     with pytest.raises(PreconditionFailed):
         largest_prime_power_leq(1)
+
+
+def test_largest_prime_power_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        q = largest_prime_power_leq(3 * 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q == 2_999_999 and peak < 256 * 1024
+
+
+def test_largest_prime_power_cap():
+    from matroidlab.procedures import MAX_L
+
+    assert largest_prime_power_leq(MAX_L) == 999_999_937
+    with pytest.raises(PreconditionFailed):
+        largest_prime_power_leq(MAX_L + 1)
 
 
 # -- parameter validation ---------------------------------------------------------

@@ -25,10 +25,12 @@ class Matroid:
     value, so concurrent readers always observe a consistent result.
     """
 
-    def _init_ground(self, n: int, live: int):
+    def _init_ground(self, n: int, live: int | None = None):
+        """Set the index space; `live` defaults to all n elements, built only
+        once n has passed the size cap."""
         check_ground_size(n)
         self.n = n
-        self.live = live
+        self.live = (1 << n) - 1 if live is None else live
         self._rank_full = None
         self._points = None
         self._roundness = None
@@ -252,7 +254,7 @@ class UniformMatroid(Matroid):
     def __init__(self, r: int, n: int):
         if not 0 <= r <= n:
             raise PreconditionFailed(f"need 0 <= r <= n, got r={r}, n={n}")
-        self._init_ground(n, (1 << n) - 1)
+        self._init_ground(n)
         self.r = r
 
     def _rank_impl(self, subset: int) -> int:
@@ -272,7 +274,7 @@ class LinearMatroid(Matroid):
 
     def __init__(self, fieldspec, columns):
         columns = tuple(tuple(c) for c in columns)
-        self._init_ground(len(columns), (1 << len(columns)) - 1)
+        self._init_ground(len(columns))
         self.field = fieldspec
         self.columns = columns
         self.nrows = len(columns[0]) if columns else 0
@@ -387,7 +389,7 @@ class ExplicitMatroid(Matroid):
     def __init__(self, n: int, table, verify: bool = True):
         if n > self.MAX_N:
             raise SizeLimit(f"explicit tables are capped at {self.MAX_N} elements")
-        self._init_ground(n, (1 << n) - 1)
+        self._init_ground(n)
         self.table = tuple(table)
         if len(self.table) != 1 << n:
             raise PreconditionFailed("rank table has wrong length")

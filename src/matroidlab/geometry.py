@@ -40,6 +40,9 @@ def pg(n: int, q: int, max_points: int = MAX_GROUND) -> LinearMatroid:
     """The rank-n projective geometry PG(n-1, q)."""
     if n < 1:
         raise PreconditionFailed(f"rank must be >= 1, got {n}")
+    if n - 1 >= max_points.bit_length():  # theta(q, n) >= 2^(n-1) > max_points
+        raise SizeLimit(f"PG({n - 1},{q}) has at least 2^{n - 1} points, "
+                        f"over the cap {max_points}")
     npoints = theta(q, n)
     if npoints > max_points:
         raise SizeLimit(f"PG({n - 1},{q}) has {npoints} points, over the cap {max_points}")

@@ -9,7 +9,7 @@ import json
 import sys
 from fractions import Fraction
 
-from ..bitset import bits, mask_of
+from ..bitset import MAX_GROUND, bits, mask_of
 from ..certificates import (certificate_from_dict, certificate_to_dict,
                             verify_certificate)
 from ..core import UniformMatroid
@@ -82,7 +82,11 @@ def _parse_target(text):
 def _mask_arg(text):
     if not text:
         return 0
-    return mask_of(int(t) for t in text.split(","))
+    indices = [int(t) for t in text.split(",")]
+    for i in indices:
+        if not 0 <= i < MAX_GROUND:
+            raise _UsageError(f"element index {i} is outside [0, {MAX_GROUND})")
+    return mask_of(indices)
 
 
 def _emit(args, payload, text_lines):

@@ -6,6 +6,10 @@ same minor) and skip any contraction whose closure has been seen before
 (equal closures give minors with identical point structure).  Searches are
 exhaustive unless given a node cap `max_nodes`, and a search that runs out
 of nodes reports `unknown`, never a silent "no".
+
+The longest line in a minor is read off the corank-2 contractions alone:
+max_line_minor counts points only at the leaves M/F, F a flat of rank
+r - 2, since every line of a minor survives into one of them.
 """
 
 from dataclasses import dataclass
@@ -14,7 +18,7 @@ from .bitset import bits, lowest, mask_of, spread
 from .certificates import ContractionLine, MinorEmbedding
 from .core import ExplicitMatroid, Matroid
 from .errors import (BudgetExceeded, PreconditionFailed, RankTooSmall,
-                     TargetTooLarge)
+                     SizeLimit, TargetTooLarge)
 from .geometry import is_projective_geometry, pg, theta
 
 FOUND = "found"
@@ -48,31 +52,6 @@ class MinorOutcome:
         if self.status == UNKNOWN:
             raise BudgetExceeded(f"search undecided after {self.nodes} nodes")
         return self
-
-
-def _best_line(minor: Matroid, stop_at: int | None = None):
-    """(max point count on a rank-2 flat, that flat) for a rank>=2 minor."""
-    classes = minor.points()
-    reps = [lowest(c) for c in classes]
-    if minor.rank_full == 2:
-        return len(classes), minor.live  # the whole ground set is the line
-    best = 0
-    best_flat = None
-    seen = set()
-    for i, a in enumerate(reps):
-        for b in reps[i + 1:]:
-            pair = (1 << a) | (1 << b)
-            flat = minor.closure(pair)
-            if flat in seen:
-                continue
-            seen.add(flat)
-            count = sum(1 for c in classes if c & flat)
-            if count > best:
-                best = count
-                best_flat = flat
-                if stop_at is not None and best >= stop_at:
-                    return best, best_flat
-    return best, best_flat
 
 
 class _Nodes:
@@ -113,14 +92,20 @@ def max_line_minor(matroid: Matroid, max_nodes: int | None = None,
                    stop_at: int | None = None) -> LineMinorResult:
     """Largest point count of a line in any minor of `matroid`.
 
-    DFS over independent contraction sets built from point representatives,
-    pruning repeated closures.  `stop_at` ends the search early once a line
-    that large is found (the result is then exact as a lower bound >= stop_at).
+    A line of M/C keeps its points when any point outside its span is
+    contracted, so the answer is max eps(M/F) over the flats F of rank
+    r - 2.  The search walks the closure-deduplicated contraction DFS down
+    to those corank-2 leaves and counts points at the leaves only.  The
+    certificate is the first leaf attaining the maximum: an independent
+    contract set of r - 2 elements, with the whole surviving ground set as
+    the line.  `stop_at` ends the search at the first leaf with at least
+    that many points (the result is then exact as a lower bound >= stop_at).
 
     `nodes` counts the contraction sets visited, a refused one included.
     Run to completion, the search visits one set per flat of rank <= r - 2
     (the set's closure), so `nodes` is the number of those flats; a search
-    cut by `max_nodes=c` reports c + 1 and is inexact.
+    cut by `max_nodes=c` reports c + 1 and is inexact, and its `points` is
+    the best over the leaves reached (0, with no certificate, if c < r - 1).
     """
     r = matroid.rank_full
     if r < 2:
@@ -130,10 +115,12 @@ def max_line_minor(matroid: Matroid, max_nodes: int | None = None,
     for contract, minor in _contractions(matroid, r - 2):
         if nodes.tick():
             return LineMinorResult(best, best_cert, False, nodes.count)
-        count, flat = _best_line(minor, stop_at)
+        if minor.rank_full > 2:
+            continue
+        count = minor.epsilon()
         if count > best:
             best = count
-            best_cert = ContractionLine(contract, flat, count)
+            best_cert = ContractionLine(contract, minor.live, count)
             if stop_at is not None and best >= stop_at:
                 return LineMinorResult(best, best_cert, True, nodes.count)
     return LineMinorResult(best, best_cert, True, nodes.count)
@@ -235,22 +222,23 @@ def minor_isomorphic(matroid: Matroid, target: ExplicitMatroid,
 PG_EMBED_LIMIT = 13
 
 
-def find_pg_restriction(matroid: Matroid, m: int, q: int,
-                        embed_limit: int = PG_EMBED_LIMIT) -> int | None:
+def find_pg_restriction(matroid: Matroid, m: int, q: int) -> int | None:
     """A point set S with M|S isomorphic to PG(m-1, q), or None.
 
     Scans rank-m flats in enumeration order.  A flat whose point count is
     exactly theta(q, m) is tested directly with the recognizer; a denser
     flat is searched for an embedded copy by backtracking, provided
-    theta(q, m) <= embed_limit (beyond that only the direct test runs, so
-    a None answer is exhaustive only up to that bound; rank-3 hits carry
-    the projective-plane caveat of the recognizer).
+    theta(q, m) <= PG_EMBED_LIMIT.  Beyond that bound a denser flat is
+    skipped, and a scan that skipped one and found nothing raises SizeLimit
+    rather than answer None.  Rank-3 hits carry the projective-plane caveat
+    of the recognizer.
     """
     if m < 3:
         raise PreconditionFailed(f"need m >= 3, got {m}")
     want = theta(q, m)
     if m > matroid.rank_full:
         return None
+    skipped = False
     for flat in matroid.flats_of_rank(m):
         sub = matroid.restrict(flat)
         reps = sub.representatives()
@@ -262,32 +250,41 @@ def find_pg_restriction(matroid: Matroid, m: int, q: int,
             if report.order == q:
                 return reps
             continue
-        if want > embed_limit:
+        if want > PG_EMBED_LIMIT:
+            skipped = True
             continue
         simple = matroid.restrict(reps)
         found = _try_embed(simple, pg(m, q), _Nodes(None))
         if found is not None:
             return mask_of(found)
+    if skipped:
+        raise SizeLimit(f"skipped a rank-{m} flat denser than theta = {want}, "
+                        f"over the embedding limit {PG_EMBED_LIMIT}")
     return None
 
 
 def find_pg_minor(matroid: Matroid, m: int, q: int,
-                  max_nodes: int | None = None,
-                  embed_limit: int = PG_EMBED_LIMIT) -> MinorOutcome:
+                  max_nodes: int | None = None) -> MinorOutcome:
     """Contract-then-look-for-a-restriction search for a PG(m-1, q)-minor.
 
-    Exhaustive over contraction closures by default, subject to the same
-    embedding size bound as find_pg_restriction.
+    Exhaustive over contraction closures by default.  A contraction whose
+    restriction scan hits the embedding limit of find_pg_restriction is
+    passed over, and the search then ends `unknown` rather than `absent`.
     """
     max_c = matroid.rank_full - m
     if max_c < 0:
         return MinorOutcome(ABSENT)
     nodes = _Nodes(max_nodes)
+    status = ABSENT
     for contract, minor in _contractions(matroid, max_c):
         if nodes.tick():
             return MinorOutcome(UNKNOWN, None, nodes.count)
-        hit = find_pg_restriction(minor, m, q, embed_limit)
+        try:
+            hit = find_pg_restriction(minor, m, q)
+        except SizeLimit:
+            status = UNKNOWN
+            continue
         if hit is not None:
             return MinorOutcome(FOUND, {"contract": contract, "restriction": hit},
                                 nodes.count)
-    return MinorOutcome(ABSENT, None, nodes.count)
+    return MinorOutcome(status, None, nodes.count)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,20 @@ def test_malformed_values_exit_2(capsys, monkeypatch, argv):
     code, _, err = run(capsys, monkeypatch, argv, stdin=emit_matrix(pg(3, 2)))
     assert code == 2
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("a", ["100000000", "0,1024", "-1"])
+def test_mask_values_range_checked_before_allocating(capsys, monkeypatch, a):
+    stdin = emit_matrix(pg(3, 2))
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, monkeypatch,
+                           ["connectivity", "--a", a, "--b", "1"], stdin=stdin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "usage error" in err
+    assert peak < 256 * 1024
 
 
 def test_verify_cert_bad_json_exit_2(capsys, monkeypatch, tmp_path):

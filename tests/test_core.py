@@ -1,14 +1,15 @@
 """Rank oracle, closure/flat machinery, minors, roundness, certificates."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matroidlab import (DirectSum, ExplicitMatroid, LinearMatroid, Partition,
-                        UniformMatroid, bits, field_make, mask_of, pg, popcount,
-                        verify_certificate)
+from matroidlab import (DirectSum, ExplicitMatroid, LinearMatroid, MinorEmbedding,
+                        Partition, UniformMatroid, bits, field_make, mask_of, pg,
+                        popcount, verify_certificate)
 from matroidlab.errors import (MalformedCertificate, OutOfRange, OverlapError,
                                RankZero, SizeLimit)
 
@@ -401,3 +402,20 @@ def test_verify_certificate_rejects_bad_mapping_indices(bad):
 def test_ground_cap():
     with pytest.raises(SizeLimit):
         UniformMatroid(2, 2000)
+
+
+@pytest.mark.parametrize("build", [
+    lambda host: UniformMatroid(2, 10 ** 8),
+    lambda host: verify_certificate(
+        MinorEmbedding(0, 0, (0, 1, 2), "uniform:2,100000000"), host),
+])
+def test_ground_cap_checked_before_allocating(build):
+    host = pg(3, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit):
+            build(host)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024

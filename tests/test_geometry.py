@@ -1,10 +1,13 @@
 """Projective geometries: construction, density values, subfields, recognizer."""
 
+import time
+
 import pytest
 
 from matroidlab import (UniformMatroid, bits, geometric_series_sum,
                         is_projective_geometry, pg, popcount,
                         subfield_subgeometry, theta)
+from matroidlab.certificates import target_from_descriptor
 from matroidlab.errors import (NotASubfield, NotPrimePower, PreconditionFailed,
                                RankTooSmall, SizeLimit)
 
@@ -49,6 +52,18 @@ def test_pg34_line_sizes():
 def test_pg_size_cap():
     with pytest.raises(SizeLimit):
         pg(4, 5, max_points=100)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pg(200_000, 2),
+    lambda: target_from_descriptor("pg:200000,2"),
+])
+def test_pg_rank_cap_checked_before_counting(build):
+    # theta(2, 200000) has 60206 digits; the cap must not wait for it
+    start = time.perf_counter()
+    with pytest.raises(SizeLimit):
+        build()
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])

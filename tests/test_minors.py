@@ -1,13 +1,16 @@
 """Line-minor search, small-target embeddings, PG restrictions; all fast
 paths cross-checked against the literal enumeration oracles."""
 
-import pytest
+import random
 
-from matroidlab import (ABSENT, FOUND, UNKNOWN, UniformMatroid, bits,
-                        find_pg_minor, find_pg_restriction, has_u2n_minor, mask_of,
-                        max_line_minor, minor_isomorphic, pg, popcount,
+import pytest
+from conftest import random_linear
+
+from matroidlab import (ABSENT, FOUND, UNKNOWN, LinearMatroid, UniformMatroid,
+                        bits, find_pg_minor, find_pg_restriction, has_u2n_minor,
+                        mask_of, max_line_minor, minor_isomorphic, pg, popcount,
                         subfield_subgeometry, verify_certificate)
-from matroidlab.errors import RankTooSmall, TargetTooLarge
+from matroidlab.errors import RankTooSmall, SizeLimit, TargetTooLarge
 from matroidlab.harness.catalogs import fano_plus_point
 from matroidlab.harness.oracles import oracle_max_line, oracle_u2n, to_explicit
 
@@ -66,13 +69,30 @@ def test_has_u2n_budget_unknown():
     assert out.status == UNKNOWN
 
 
+def _small_linear(i):
+    """Seeded GF(2), GF(3) or GF(4) matrix of rank 2-4 with at most 10
+    columns, one of them zero and one a repeat of another."""
+    rng = random.Random(6_100 + i)
+    q = (2, 3, 4)[i % 3]
+    rank = rng.randint(2, 4)
+    m = random_linear(q, rank, rng.randint(rank + 1, 8), seed=rng.randrange(1 << 30))
+    cols = list(m.columns)
+    cols.insert(rng.randrange(len(cols) + 1), rng.choice(cols))
+    cols.insert(rng.randrange(len(cols) + 1), (0,) * rank)
+    return LinearMatroid(m.field, cols)
+
+
+SMALL_LINEAR = [pytest.param(lambda i=i: _small_linear(i), None,
+                             id=f"gf{(2, 3, 4)[i % 3]}-{i}") for i in range(30)]
+
+
 @pytest.mark.parametrize("make,expect", [
     (lambda: pg(3, 2), 3),
     (lambda: pg(3, 3).restrict((1 << 10) - 1), None),  # 10-point plane restriction
     (lambda: UniformMatroid(3, 6), 5),
     (lambda: UniformMatroid(4, 7), 5),
     (lambda: fano_plus_point()[0], 5),
-])
+] + SMALL_LINEAR)
 def test_max_line_agrees_with_oracle(make, expect):
     m = make()
     res = max_line_minor(m)
@@ -85,6 +105,7 @@ def test_max_line_agrees_with_oracle(make, expect):
 
 def test_oracle_u2n_agrees_on_catalog():
     cases = [pg(3, 2), UniformMatroid(3, 6), fano_plus_point()[0]]
+    cases += [_small_linear(i) for i in range(30)]
     for m in cases:
         top = max_line_minor(m).points
         for k in range(3, top + 2):
@@ -198,6 +219,18 @@ def test_find_pg_restriction_pg42_hyperplane():
     assert is_projective_geometry(sub.simplify()).order == 2
 
 
+def test_find_pg_restriction_skipped_flat_is_not_a_silent_no():
+    # theta(4, 3) = 21 is past PG_EMBED_LIMIT, so the 31-point plane of
+    # PG(2,5) is too dense to search for an embedded PG(2,4)
+    with pytest.raises(SizeLimit):
+        find_pg_restriction(pg(3, 5), 3, 4)
+
+
+def test_find_pg_minor_skipped_flat_is_unknown():
+    out = find_pg_minor(pg(3, 5), 3, 4)
+    assert out.status == UNKNOWN and out.nodes == 1
+
+
 def test_find_pg_minor_via_contraction():
     m = pg(4, 2)
     out = find_pg_minor(m, 3, 2)
@@ -231,6 +264,10 @@ def test_nodes_count_flats_of_corank_two_and_up(m, want):
     # one visited contraction set per flat of rank <= r - 2 (its closure)
     res = max_line_minor(m)
     assert res.exact and res.nodes == _flats_up_to(m, m.rank_full - 2) == want
+    # the certificate is a corank-2 leaf: its whole surviving ground set
+    cert = res.certificate
+    assert m.rank(cert.contract) == m.rank_full - 2
+    assert cert.line == m.live & ~cert.contract
 
 
 @pytest.mark.parametrize("m, want", [(pg(3, 2), 1), (pg(4, 2), 16),

@@ -8,6 +8,13 @@ matroid unchanged.
 
 Loops are allowed everywhere; point counting ignores them, since
 contraction creates loops and the point count is insensitive to them.
+
+Closure and points have a generic route through the rank oracle on
+`Matroid`, kept as the reference.  A `LinearMatroid` answers both from one
+echelon basis instead: closure eliminates the subset once and reduces every
+other column against it, and the points of a contraction M/C come from the
+columns projected modulo span(C).  A `MinorView` over a linear matroid
+passes both questions down to it.
 """
 
 from .bitset import bits, check_ground_size, lowest, mask_of, popcount, spread
@@ -60,10 +67,14 @@ class Matroid:
 
     def closure(self, subset: int) -> int:
         """Elements whose addition does not raise the rank of `subset`."""
-        r0 = self.rank(subset)
+        if subset & ~self.live:
+            raise OutOfRange(f"subset 0x{subset:x} has bits outside the ground set")
+        return self._closure_impl(subset)
+
+    def _closure_impl(self, subset: int) -> int:
+        r0 = self._rank_impl(subset)
         out = subset
-        rest = self.live & ~subset
-        for e in bits(rest):
+        for e in bits(self.live & ~subset):
             if self._rank_impl(subset | (1 << e)) == r0:
                 out |= 1 << e
         return out
@@ -73,15 +84,22 @@ class Matroid:
 
     def flats_of_rank(self, k: int) -> list:
         """All rank-k flats, by breadth-first closure extension, sorted
-        ascending as masks within each rank level."""
+        ascending as masks within each rank level.
+
+        The flats covering a flat F partition the elements outside F, so
+        each cover is closed from the least element not yet covered: one
+        closure per cover instead of one per element."""
         if k < 0 or k > self.rank_full:
             raise OutOfRange(f"no flats of rank {k} in a rank-{self.rank_full} matroid")
         level = [self.closure(0)]
         for _ in range(k):
             found = set()
             for flat in level:
-                for e in bits(self.live & ~flat):
-                    found.add(self.closure(flat | (1 << e)))
+                rest = self.live & ~flat
+                while rest:
+                    cover = self.closure(flat | (rest & -rest))
+                    found.add(cover)
+                    rest &= ~cover
             level = sorted(found)
         return level
 
@@ -269,7 +287,12 @@ class LinearMatroid(Matroid):
     """Columns of a matrix over GF(q); rank = column rank by elimination.
 
     Rank queries are cached per subset mask; views share the cache through
-    the root.  Over GF(2) columns are packed into ints and reduced by xor.
+    the root.  Over GF(2) columns are packed into ints and reduced by xor,
+    otherwise rows are reduced through the field tables.  Closure and points
+    need no rank queries: closure(X) eliminates X once and keeps the columns
+    that reduce to zero against that basis, and the points of M/C are the
+    classes of columns projected modulo span(C), a column that projects to
+    zero being a loop.
     """
 
     def __init__(self, fieldspec, columns):
@@ -302,74 +325,119 @@ class LinearMatroid(Matroid):
         self._cache[subset] = rank
         return rank
 
-    def _rank_gf2(self, subset: int) -> int:
-        basis = []
-        packed = self._packed
+    def _rank_gf2(self, subset: int, basis: list | None = None) -> int:
+        """Rank of span(basis) plus the columns of `subset`; a given
+        `basis` (from `_reduce_gf2`, largest first) is extended in place."""
+        if basis is None:
+            basis = []
         s = subset
         while s:
             low = s & -s
             s ^= low
-            v = packed[low.bit_length() - 1]
-            for b in basis:
-                w = v ^ b
-                if w < v:
-                    v = w
+            v = self._reduce_gf2(low.bit_length() - 1, basis)
             if v:
                 basis.append(v)
                 basis.sort(reverse=True)
         return len(basis)
 
-    def _rank_tables(self, subset: int) -> int:
+    def _rank_tables(self, subset: int, basis: list | None = None) -> int:
+        """Rank of span(basis) plus the columns of `subset`; a given
+        `basis` (from `_normal_tables`, by pivot) is extended in place."""
+        if basis is None:
+            basis = []
+        s = subset
+        while s:
+            low = s & -s
+            s ^= low
+            v = self._normal_tables(low.bit_length() - 1, basis)
+            if v:
+                basis.append(v)
+                basis.sort()
+        return len(basis)
+
+    def _reduce_gf2(self, e: int, basis: list) -> int:
+        """Packed column e modulo span(basis).  Basis vectors have distinct
+        leading bits and come largest first, so the result has none of
+        those bits set: it is 0 iff e lies in the span, and the same for
+        every column of one point of M/span(basis)."""
+        v = self._packed[e]
+        for b in basis:
+            w = v ^ b
+            if w < v:
+                v = w
+        return v
+
+    def _reduce_tables(self, e: int, basis: list) -> list | None:
+        """Column e modulo span(basis), or None if it lies in the span.
+        Basis rows are (pivot, row) pairs in pivot order, each row zero
+        before its pivot and 1 at it, so the result is zero at every
+        basis pivot."""
         f = self.field
         q = f.q
         add = f.add_flat
         mul = f.mul_flat
         neg = f.neg
-        inv = f.inv
         nrows = self.nrows
-        basis = []  # (pivot row, column normalized to pivot entry 1)
-        s = subset
+        v = list(self.columns[e])
+        for pivot, u in basis:
+            c = v[pivot]
+            if c:
+                cn = neg[c] * q
+                for i in range(pivot, nrows):
+                    ui = u[i]
+                    if ui:
+                        v[i] = add[v[i] * q + mul[cn + ui]]
+        return v if any(v) else None
+
+    def _normal_tables(self, e: int, basis: list) -> tuple | None:
+        """`_reduce_tables` scaled to 1 at its first nonzero entry, as
+        (pivot, row): the same for every column of one point of
+        M/span(basis), and a row that can join the basis."""
+        v = self._reduce_tables(e, basis)
+        if v is None:
+            return None
+        f = self.field
+        for i, a in enumerate(v):
+            if a:
+                iv = f.inv[a] * f.q
+                return i, tuple(map(f.mul_flat[iv:iv + f.q].__getitem__, v))
+
+    def _echelon(self, subset: int):
+        """An echelon basis of the columns of `subset`, with two reductions
+        of a column index modulo its span, both falsy iff the column lies
+        in the span: the bare residue, and the residue in normal form."""
+        basis = []
+        if self._packed is not None:
+            self._rank_gf2(subset, basis)
+            return basis, self._reduce_gf2, self._reduce_gf2
+        self._rank_tables(subset, basis)
+        return basis, self._reduce_tables, self._normal_tables
+
+    def _closure_impl(self, subset: int) -> int:
+        basis, residue, _ = self._echelon(subset)
+        out = subset
+        s = self.live & ~subset
         while s:
             low = s & -s
             s ^= low
-            v = list(self.columns[low.bit_length() - 1])
-            for pivot, u in basis:
-                c = v[pivot]
-                if c:
-                    cn = neg[c]
-                    for i in range(pivot, nrows):
-                        ui = u[i]
-                        if ui:
-                            v[i] = add[v[i] * q + mul[cn * q + ui]]
-            for i in range(nrows):
-                if v[i]:
-                    iv = inv[v[i]]
-                    if iv != 1:
-                        for j in range(i, nrows):
-                            v[j] = mul[iv * q + v[j]]
-                    basis.append((i, v))
-                    basis.sort()
-                    break
-        return len(basis)
+            if not residue(low.bit_length() - 1, basis):
+                out |= low
+        return out
 
-    def _points_impl(self, within: int) -> list:
-        # a column's point class is determined by its scale-normalized form
-        f = self.field
+    def _points_impl(self, within: int, contract: int = 0) -> list:
+        """Points of M/contract within `within`: columns with the same
+        normal form modulo span(contract) are parallel, and those that
+        reduce to zero are loops.  Classes come in order of least element."""
+        basis, _, normal = self._echelon(contract)
         classes = {}
-        order = []
-        for e in bits(within):
-            col = self.columns[e]
-            lead = next((a for a in col if a), 0)
-            if lead == 0:
-                continue  # zero column, a loop
-            iv = f.inv[lead]
-            norm = col if iv == 1 else tuple(f.mul(iv, a) for a in col)
-            if norm in classes:
-                classes[norm] |= 1 << e
-            else:
-                classes[norm] = 1 << e
-                order.append(norm)
-        return [classes[k] for k in order]
+        s = within
+        while s:
+            low = s & -s
+            s ^= low
+            key = normal(low.bit_length() - 1, basis)
+            if key:
+                classes[key] = classes.get(key, 0) | low
+        return list(classes.values())
 
     def __repr__(self):
         return f"LinearMatroid(GF({self.field.q}), {self.nrows}x{self.n})"
@@ -446,7 +514,9 @@ class MinorView(Matroid):
     """M / contract \\ delete over the parent's index space.
 
     Nested views flatten, so contracting C1 and then C2 is literally the
-    view with contract set C1 | C2; rank(X) = r_root(X | C) - r_root(C).
+    view with contract set C1 | C2; rank(X) = r_root(X | C) - r_root(C) and
+    cl(X) = cl_root(X | C) - C - D.  Over a linear root the points are
+    those of the root's columns projected modulo span(C).
     """
 
     def __init__(self, base: Matroid, contract: int, delete: int):
@@ -462,6 +532,15 @@ class MinorView(Matroid):
 
     def _rank_impl(self, subset: int) -> int:
         return self.base._rank_impl(subset | self.contracted) - self._rank_contract
+
+    def _closure_impl(self, subset: int) -> int:
+        # cl_{M/C}(X) = cl_M(X | C) - C, cut to the surviving elements
+        return self.base._closure_impl(subset | self.contracted) & self.live
+
+    def _points_impl(self, within: int) -> list:
+        if isinstance(self.base, LinearMatroid):
+            return self.base._points_impl(within, self.contracted)
+        return super()._points_impl(within)
 
     def __repr__(self):
         return (f"MinorView(base={self.base!r}, contract=0x{self.contracted:x}, "

@@ -12,7 +12,7 @@ from .bitset import MAX_GROUND, bits, popcount
 from .core import LinearMatroid, Matroid
 from .errors import (NotASubfield, NotPrimePower, PreconditionFailed,
                      RankTooSmall, SizeLimit)
-from .field import field_make, is_prime_power
+from .field import MAX_FIELD_ORDER, field_make, is_prime_power
 
 
 def geometric_series_sum(base: int, r: int) -> int:
@@ -43,6 +43,8 @@ def pg(n: int, q: int, max_points: int = MAX_GROUND) -> LinearMatroid:
     if n - 1 >= max_points.bit_length():  # theta(q, n) >= 2^(n-1) > max_points
         raise SizeLimit(f"PG({n - 1},{q}) has at least 2^{n - 1} points, "
                         f"over the cap {max_points}")
+    if q > MAX_FIELD_ORDER:  # before theta factors q, in O(sqrt q) divisions
+        raise SizeLimit(f"field order {q} exceeds the cap of {MAX_FIELD_ORDER}")
     npoints = theta(q, n)
     if npoints > max_points:
         raise SizeLimit(f"PG({n - 1},{q}) has {npoints} points, over the cap {max_points}")
@@ -108,7 +110,8 @@ def is_projective_geometry(matroid: Matroid) -> PgReport:
     (at rank 3 this says every two lines of the plane meet); constant line
     size q+1; for rank >= 4, q is a prime power; the point count equals
     theta(q, r); for planes, #lines = #points.  The first failed check is
-    reported.
+    reported.  A line is spanned by any two of its points, so two disjoint
+    lines are skew iff the two least points of each have rank 4 together.
     """
     r = matroid.rank_full
     if r <= 2:
@@ -118,16 +121,19 @@ def is_projective_geometry(matroid: Matroid) -> PgReport:
     plane = r == 3
     lines = matroid.flats_of_rank(2)
     sizes = set()
+    pairs = []  # the two least points of each line, which span it
     for line in lines:
         c = popcount(line)  # simple: points of a flat are its elements
         if c < 3:
             return PgReport(None, plane, f"line-with-fewer-than-3-points: {sorted(bits(line))}")
         sizes.add(c)
+        rest = line & (line - 1)
+        pairs.append(line & -line | rest & -rest)
     for i, la in enumerate(lines):
-        for lb in lines[i + 1:]:
+        for lb, pb in zip(lines[i + 1:], pairs[i + 1:]):
             if la & lb:
                 continue
-            if not matroid.is_skew(la, lb):
+            if matroid.rank(pairs[i] | pb) != 4:
                 return PgReport(None, plane,
                                 f"disjoint-lines-not-skew: {sorted(bits(la))} vs {sorted(bits(lb))}")
     if len(sizes) != 1:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from matroidlab import (DirectSum, ExplicitMatroid, LinearMatroid, MinorEmbedding,
                         Partition, UniformMatroid, bits, field_make, mask_of, pg,
                         popcount, verify_certificate)
+from matroidlab.bitset import spread
 from matroidlab.errors import (MalformedCertificate, OutOfRange, OverlapError,
                                RankZero, SizeLimit)
 
@@ -277,8 +278,8 @@ def test_explicit_matches_linear_on_all_subsets():
 
 
 def test_gf2_packed_path_matches_table_path():
-    # GF(2) ranks go through xor elimination; the generic table elimination
-    # must agree bit for bit
+    # GF(2) ranks, closures and points modulo a contract set go through xor
+    # elimination; the generic table elimination must agree bit for bit
     for seed in range(5):
         m = random_linear(2, 5, 11, seed=seed)
         shadow = LinearMatroid(m.field, m.columns)
@@ -286,6 +287,106 @@ def test_gf2_packed_path_matches_table_path():
         shadow._cache = {0: 0}
         for x in range(1 << 11):
             assert m.rank(x) == shadow._rank_tables(x)
+            assert m._closure_impl(x) == shadow._closure_impl(x)
+            rest = m.live & ~x
+            assert m._points_impl(rest, x) == shadow._points_impl(rest, x)
+
+
+# -- linear fast paths against the generic rank-oracle routes -------------------
+
+def _messy_linear(i):
+    """Seeded GF(2), GF(3), GF(4) or GF(8) matrix of rank 2-4 with 6-10
+    columns: random ones plus a zero column, a repeated column and a
+    nonzero multiple of another column, in seeded order."""
+    rng = random.Random(7_300 + i)
+    q = (2, 3, 4, 8)[i % 4]
+    spec = field_make(q)
+    rank = rng.randint(2, 4)
+    cols = [tuple(rng.randrange(q) for _ in range(rank))
+            for _ in range(rng.randint(rank, 7))]
+    cols.append((0,) * rank)
+    cols.append(rng.choice(cols))
+    c = rng.randrange(1, q)
+    cols.append(tuple(spec.mul(c, a) for a in rng.choice(cols)))
+    rng.shuffle(cols)
+    return LinearMatroid(spec, cols)
+
+
+MESSY = [pytest.param(i, id=f"gf{(2, 3, 4, 8)[i % 4]}-{i}") for i in range(24)]
+
+
+def _views(m, rng):
+    """A contraction, a deletion, a minor and a view of a view (which
+    flattens into one contract and delete set), after the matroid itself."""
+    a, b, c, d, e = (1 << p for p in rng.sample(list(bits(m.live)), 5))
+    return [m, m.contract(a | b), m.delete(c | d), m.minor(a | b, c | d),
+            m.contract(e).minor(a, c)]
+
+
+def _subsets(view, rng, count=12):
+    elems = list(bits(view.live))
+    return [0, view.live] + [mask_of(e for e in elems if rng.random() < 0.4)
+                             for _ in range(count)]
+
+
+@pytest.mark.parametrize("i", MESSY)
+def test_linear_closure_matches_generic_route(i):
+    from matroidlab.core import Matroid
+
+    m = _messy_linear(i)
+    rng = random.Random(i)
+    for view in _views(m, rng):
+        for x in _subsets(view, rng):
+            assert view.closure(x) == Matroid._closure_impl(view, x)
+
+
+@pytest.mark.parametrize("i", MESSY)
+def test_view_points_match_generic_route(i):
+    from matroidlab.core import Matroid
+
+    m = _messy_linear(i)
+    rng = random.Random(100 + i)
+    for view in _views(m, rng):
+        assert view.points() == Matroid._points_impl(view, view.live)
+        for w in _subsets(view, rng):
+            assert view.points(w) == Matroid._points_impl(view, w)
+
+
+@pytest.mark.parametrize("i", MESSY)
+def test_flats_of_rank_match_brute_force(i):
+    from matroidlab.harness.oracles import to_explicit
+
+    m = _messy_linear(i)
+    for view in _views(m, random.Random(200 + i)):
+        table = to_explicit(view)
+        t = table.table
+        elems = list(bits(view.live))
+        full = (1 << table.n) - 1
+        flats = {}
+        for x in range(full + 1):  # closed: every other element raises the rank
+            if all(t[x | 1 << e] > t[x] for e in range(table.n) if not x >> e & 1):
+                flats.setdefault(t[x], []).append(spread(x, elems))
+        for k in range(view.rank_full + 1):
+            assert view.flats_of_rank(k) == sorted(flats[k])
+
+
+def test_flats_of_rank_closes_each_cover_once(monkeypatch):
+    # PG(3,3) has 40 points and 13 lines through each: 1 + 40 + 40 * 13
+    # closures, where one per element outside each point took 1 + 40 + 40 * 39
+    from matroidlab.core import Matroid
+
+    calls = []
+    closure = Matroid.closure
+
+    def counted(self, subset):
+        calls.append(subset)
+        return closure(self, subset)
+
+    m = pg(4, 3)
+    monkeypatch.setattr(Matroid, "closure", counted)
+    lines = m.flats_of_rank(2)
+    assert len(calls) == 561
+    assert len(lines) == 130 and all(popcount(line) == 4 for line in lines)
 
 
 def test_explicit_rejects_bad_table():

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from matroidlab import (UniformMatroid, bits, geometric_series_sum,
-                        is_projective_geometry, pg, popcount,
+                        is_projective_geometry, mask_of, pg, popcount,
                         subfield_subgeometry, theta)
 from matroidlab.certificates import target_from_descriptor
 from matroidlab.errors import (NotASubfield, NotPrimePower, PreconditionFailed,
@@ -64,6 +64,18 @@ def test_pg_rank_cap_checked_before_counting(build):
     with pytest.raises(SizeLimit):
         build()
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pg(3, 100000000000031),
+    lambda: target_from_descriptor("pg:3,100000000000031"),
+])
+def test_pg_field_cap_checked_before_factoring(build):
+    # q is prime: factoring it by trial division takes about 10^7 steps
+    start = time.perf_counter()
+    with pytest.raises(SizeLimit):
+        build()
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
@@ -193,4 +205,16 @@ def test_recognizer_nonskew_disjoint_lines():
     m = pg(3, 4).delete(1)
     report = is_projective_geometry(m)
     assert report.order is None
+    assert report.failure.startswith("disjoint-lines-not-skew")
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_recognizer_affine_geometry_has_disjoint_coplanar_lines(rank):
+    # AG(rank-1, 3) is PG(rank-1, 3) off the hyperplane x0 = 0: every line
+    # has 3 points, but parallel lines are disjoint and span only a plane
+    g = pg(rank, 3)
+    ag = g.restrict(mask_of(j for j, col in enumerate(g.columns) if col[0]))
+    assert ag.size == 3 ** (rank - 1)
+    report = is_projective_geometry(ag)
+    assert report.order is None and report.plane == (rank == 3)
     assert report.failure.startswith("disjoint-lines-not-skew")

@@ -22,6 +22,15 @@ def test_max_line_fano():
     assert oracle_max_line(pg(3, 2)) == 3
 
 
+def test_max_line_pg34_pins_its_counts():
+    # one node per flat of rank <= 2: 1 + 85 points + 357 lines
+    m = pg(4, 4)
+    res = max_line_minor(m)
+    assert (res.points, res.nodes, res.exact) == (5, 443, True)
+    assert verify_certificate(res.certificate, m)
+    assert verify_certificate(res.certificate, pg(4, 4))
+
+
 def test_max_line_u36():
     res = max_line_minor(UniformMatroid(3, 6))
     assert res.points == 5 and res.exact

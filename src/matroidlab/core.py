@@ -1,4 +1,4 @@
-"""Rank oracles and the primitives built on them.
+"""Rank oracles, the lattice walk, and the primitives built on them.
 
 All matroids share one integer index space: `live` is the mask of usable
 element indices and every subset argument is a mask over it.  Views
@@ -10,11 +10,9 @@ Loops are allowed everywhere; point counting ignores them, since
 contraction creates loops and the point count is insensitive to them.
 
 Closure and points have a generic route through the rank oracle on
-`Matroid`, kept as the reference.  A `LinearMatroid` answers both from one
-echelon basis instead: closure eliminates the subset once and reduces every
-other column against it, and the points of a contraction M/C come from the
-columns projected modulo span(C).  A `MinorView` over a linear matroid
-passes both questions down to it.
+`Matroid`, kept as the reference; a `LinearMatroid` answers both from one
+echelon basis.  `contractions` is the one enumeration of the flat lattice,
+walked by flats, the minor searches and the recognizer.
 """
 
 from .bitset import bits, check_ground_size, lowest, mask_of, popcount, spread
@@ -39,7 +37,7 @@ class Matroid:
         self.n = n
         self.live = (1 << n) - 1 if live is None else live
         self._rank_full = None
-        self._points = None
+        self._keyed = None
         self._roundness = None
 
     # -- rank ------------------------------------------------------------
@@ -83,25 +81,13 @@ class Matroid:
         return self.closure(0)
 
     def flats_of_rank(self, k: int) -> list:
-        """All rank-k flats, by breadth-first closure extension, sorted
-        ascending as masks within each rank level.
-
-        The flats covering a flat F partition the elements outside F, so
-        each cover is closed from the least element not yet covered: one
-        closure per cover instead of one per element."""
+        """All rank-k flats, sorted ascending as masks: the closures at
+        depth k of `contractions`, which reaches each flat once.  Only the
+        flats of rank < k have their points taken, one projection each."""
         if k < 0 or k > self.rank_full:
             raise OutOfRange(f"no flats of rank {k} in a rank-{self.rank_full} matroid")
-        level = [self.closure(0)]
-        for _ in range(k):
-            found = set()
-            for flat in level:
-                rest = self.live & ~flat
-                while rest:
-                    cover = self.closure(flat | (rest & -rest))
-                    found.add(cover)
-                    rest &= ~cover
-            level = sorted(found)
-        return level
+        return sorted(flat for contract, flat, _ in contractions(self, k)
+                      if popcount(contract) == k)
 
     # -- points ------------------------------------------------------------
 
@@ -109,9 +95,7 @@ class Matroid:
         """Parallel classes of non-loops (rank-1 flats minus loops), as masks,
         ordered by least element."""
         if within is None:
-            if self._points is None:
-                self._points = self._points_impl(self.live)
-            return self._points
+            return list(self._keyed_points().values())
         if within & ~self.live:
             raise OutOfRange("subset has bits outside the ground set")
         return self._points_impl(within)
@@ -131,6 +115,13 @@ class Matroid:
                 reps.append(eb)
                 classes.append(eb)
         return classes
+
+    def _keyed_points(self) -> dict:
+        """The points as {key: class}, cached: keys are normal forms over a
+        linear root (see `contractions`), positions on the generic route."""
+        if self._keyed is None:
+            self._keyed = dict(enumerate(self._points_impl(self.live)))
+        return self._keyed
 
     def epsilon(self, within: int | None = None) -> int:
         """Number of points, of the whole matroid or of the restriction to
@@ -288,11 +279,9 @@ class LinearMatroid(Matroid):
 
     Rank queries are cached per subset mask; views share the cache through
     the root.  Over GF(2) columns are packed into ints and reduced by xor,
-    otherwise rows are reduced through the field tables.  Closure and points
-    need no rank queries: closure(X) eliminates X once and keeps the columns
-    that reduce to zero against that basis, and the points of M/C are the
-    classes of columns projected modulo span(C), a column that projects to
-    zero being a loop.
+    otherwise rows are reduced through the field tables.  closure(X)
+    eliminates X once and keeps the columns that reduce to zero against
+    that basis; the points of M/C are the columns projected modulo span(C).
     """
 
     def __init__(self, fieldspec, columns):
@@ -330,11 +319,10 @@ class LinearMatroid(Matroid):
         `basis` (from `_reduce_gf2`, largest first) is extended in place."""
         if basis is None:
             basis = []
-        s = subset
-        while s:
-            low = s & -s
-            s ^= low
-            v = self._reduce_gf2(low.bit_length() - 1, basis)
+        while subset and len(basis) < self.nrows:
+            low = subset & -subset
+            subset ^= low
+            v = self._reduce_gf2(self._packed[low.bit_length() - 1], basis)
             if v:
                 basis.append(v)
                 basis.sort(reverse=True)
@@ -345,40 +333,34 @@ class LinearMatroid(Matroid):
         `basis` (from `_normal_tables`, by pivot) is extended in place."""
         if basis is None:
             basis = []
-        s = subset
-        while s:
-            low = s & -s
-            s ^= low
-            v = self._normal_tables(low.bit_length() - 1, basis)
+        while subset and len(basis) < self.nrows:
+            low = subset & -subset
+            subset ^= low
+            v = self._normal_tables(self.columns[low.bit_length() - 1], basis)
             if v:
                 basis.append(v)
                 basis.sort()
         return len(basis)
 
-    def _reduce_gf2(self, e: int, basis: list) -> int:
-        """Packed column e modulo span(basis).  Basis vectors have distinct
+    def _reduce_gf2(self, v: int, basis: list) -> int:
+        """Packed vector v modulo span(basis).  Basis vectors have distinct
         leading bits and come largest first, so the result has none of
-        those bits set: it is 0 iff e lies in the span, and the same for
+        those bits set: it is 0 iff v lies in the span, and the same for
         every column of one point of M/span(basis)."""
-        v = self._packed[e]
         for b in basis:
             w = v ^ b
             if w < v:
                 v = w
         return v
 
-    def _reduce_tables(self, e: int, basis: list) -> list | None:
-        """Column e modulo span(basis), or None if it lies in the span.
+    def _reduce_tables(self, v, basis: list) -> list | None:
+        """Vector v modulo span(basis), or None if it lies in the span.
         Basis rows are (pivot, row) pairs in pivot order, each row zero
         before its pivot and 1 at it, so the result is zero at every
-        basis pivot."""
+        basis pivot: the one such vector of its coset."""
         f = self.field
-        q = f.q
-        add = f.add_flat
-        mul = f.mul_flat
-        neg = f.neg
-        nrows = self.nrows
-        v = list(self.columns[e])
+        q, add, mul, neg, nrows = f.q, f.add_flat, f.mul_flat, f.neg, self.nrows
+        v = list(v)
         for pivot, u in basis:
             c = v[pivot]
             if c:
@@ -389,11 +371,11 @@ class LinearMatroid(Matroid):
                         v[i] = add[v[i] * q + mul[cn + ui]]
         return v if any(v) else None
 
-    def _normal_tables(self, e: int, basis: list) -> tuple | None:
+    def _normal_tables(self, v, basis: list) -> tuple | None:
         """`_reduce_tables` scaled to 1 at its first nonzero entry, as
         (pivot, row): the same for every column of one point of
         M/span(basis), and a row that can join the basis."""
-        v = self._reduce_tables(e, basis)
+        v = self._reduce_tables(v, basis)
         if v is None:
             return None
         f = self.field
@@ -402,42 +384,50 @@ class LinearMatroid(Matroid):
                 iv = f.inv[a] * f.q
                 return i, tuple(map(f.mul_flat[iv:iv + f.q].__getitem__, v))
 
-    def _echelon(self, subset: int):
-        """An echelon basis of the columns of `subset`, with two reductions
-        of a column index modulo its span, both falsy iff the column lies
-        in the span: the bare residue, and the residue in normal form."""
+    def _echelon(self, subset: int) -> list:
+        """An echelon basis of the columns of `subset`."""
         basis = []
-        if self._packed is not None:
-            self._rank_gf2(subset, basis)
-            return basis, self._reduce_gf2, self._reduce_gf2
-        self._rank_tables(subset, basis)
-        return basis, self._reduce_tables, self._normal_tables
+        (self._rank_tables if self._packed is None else self._rank_gf2)(subset, basis)
+        return basis
 
     def _closure_impl(self, subset: int) -> int:
-        basis, residue, _ = self._echelon(subset)
+        basis = self._echelon(subset)
+        residue = self._reduce_tables if self._packed is None else self._reduce_gf2
+        vectors = self._packed or self.columns
         out = subset
         s = self.live & ~subset
         while s:
             low = s & -s
             s ^= low
-            if not residue(low.bit_length() - 1, basis):
+            if not residue(vectors[low.bit_length() - 1], basis):
                 out |= low
         return out
 
     def _points_impl(self, within: int, contract: int = 0) -> list:
-        """Points of M/contract within `within`: columns with the same
-        normal form modulo span(contract) are parallel, and those that
-        reduce to zero are loops.  Classes come in order of least element."""
-        basis, _, normal = self._echelon(contract)
-        classes = {}
-        s = within
-        while s:
-            low = s & -s
-            s ^= low
-            key = normal(low.bit_length() - 1, basis)
+        return list(self._project(within, contract).values())
+
+    def _project(self, within: int, contract: int, parent=None) -> dict:
+        """Points of M/contract within `within`, keyed by normal form modulo
+        span(contract) in order of least element (a column of form zero is
+        a loop).  Given `parent`, the keyed points of M/(contract - e) in
+        place of `within` and the key of e's class, each key (zero at the
+        pivots of span(contract - e)) is reduced against e's key alone."""
+        packed = self._packed is not None
+        normal = self._reduce_gf2 if packed else self._normal_tables
+        if parent:
+            classes, pivot = parent
+            basis = [pivot]
+            pairs = [(k if packed else k[1], c) for k, c in classes.items()]
+        else:
+            basis = self._echelon(contract)
+            vectors = self._packed or self.columns
+            pairs = [(vectors[e], 1 << e) for e in bits(within)]
+        out = {}
+        for v, c in pairs:
+            key = normal(v, basis)
             if key:
-                classes[key] = classes.get(key, 0) | low
-        return list(classes.values())
+                out[key] = out.get(key, 0) | c
+        return out
 
     def __repr__(self):
         return f"LinearMatroid(GF({self.field.q}), {self.nrows}x{self.n})"
@@ -515,11 +505,11 @@ class MinorView(Matroid):
 
     Nested views flatten, so contracting C1 and then C2 is literally the
     view with contract set C1 | C2; rank(X) = r_root(X | C) - r_root(C) and
-    cl(X) = cl_root(X | C) - C - D.  Over a linear root the points are
-    those of the root's columns projected modulo span(C).
+    cl(X) = cl_root(X | C) - C - D.  Over a linear root the root projects
+    the points modulo span(C) (`LinearMatroid._project`, given `parent`).
     """
 
-    def __init__(self, base: Matroid, contract: int, delete: int):
+    def __init__(self, base: Matroid, contract: int, delete: int, parent=None):
         if isinstance(base, MinorView):
             contract |= base.contracted
             delete |= base.deleted
@@ -529,6 +519,7 @@ class MinorView(Matroid):
         self.deleted = delete
         self._init_ground(base.n, base.live & ~contract & ~delete)
         self._rank_contract = base.rank(contract)
+        self._parent = parent
 
     def _rank_impl(self, subset: int) -> int:
         return self.base._rank_impl(subset | self.contracted) - self._rank_contract
@@ -541,6 +532,11 @@ class MinorView(Matroid):
         if isinstance(self.base, LinearMatroid):
             return self.base._points_impl(within, self.contracted)
         return super()._points_impl(within)
+
+    def _keyed_points(self) -> dict:
+        if self._keyed is None and isinstance(self.base, LinearMatroid):
+            self._keyed = self.base._project(self.live, self.contracted, self._parent)
+        return super()._keyed_points()
 
     def __repr__(self):
         return (f"MinorView(base={self.base!r}, contract=0x{self.contracted:x}, "
@@ -579,3 +575,28 @@ class DirectSum(Matroid):
 
     def __repr__(self):
         return f"DirectSum({self.components!r})"
+
+
+def contractions(matroid: Matroid, max_depth: int):
+    """Yield (contract, closure, minor) in DFS preorder over contraction sets
+    of point representatives up to `max_depth` deep (depth = rank = size),
+    skipping sets whose closure was seen before: each flat of rank <=
+    max_depth is reached once.  The flats covering F are F | P for the
+    points P of M/F, so a child's closure is its parent's plus one class,
+    and its points are refined from its parent's when first asked for.
+    A node's children are built only when the caller resumes after it."""
+    root = matroid.closure(0)
+    visited = {root}
+    stack = [(0, root, 0, None)]  # (contract, closure, depth, parent)
+    while stack:
+        contract, closed, depth, parent = stack.pop()
+        minor = MinorView(matroid, contract, 0, parent)
+        yield contract, closed, minor
+        if depth < max_depth:
+            keyed = minor._keyed_points()
+            children = []
+            for key, c in keyed.items():
+                if closed | c not in visited:
+                    visited.add(closed | c)
+                    children.append((contract | c & -c, closed | c, depth + 1, (keyed, key)))
+            stack.extend(reversed(children))

@@ -9,7 +9,7 @@ indices are stable across runs and feed golden files and certificates.
 from dataclasses import dataclass
 
 from .bitset import MAX_GROUND, bits, popcount
-from .core import LinearMatroid, Matroid
+from .core import LinearMatroid, Matroid, contractions
 from .errors import (NotASubfield, NotPrimePower, PreconditionFailed,
                      RankTooSmall, SizeLimit)
 from .field import MAX_FIELD_ORDER, field_make, is_prime_power
@@ -110,8 +110,16 @@ def is_projective_geometry(matroid: Matroid) -> PgReport:
     (at rank 3 this says every two lines of the plane meet); constant line
     size q+1; for rank >= 4, q is a prime power; the point count equals
     theta(q, r); for planes, #lines = #points.  The first failed check is
-    reported.  A line is spanned by any two of its points, so two disjoint
-    lines are skew iff the two least points of each have rank 4 together.
+    reported.
+
+    The lines and planes come from one depth-2 walk of `contractions`: the
+    planes through a line L are L | P, one for each point P of M/L.  With
+    every line of >= 3 points, the lines of a plane pairwise meet iff the
+    plane has as many lines as points (de Bruijn-Erdos), and two disjoint
+    lines are skew iff they lie in no common plane.  So the pair scan runs
+    only when some plane fails that count, to name the first failing pair.
+    A line is spanned by any two of its points, so two disjoint lines are
+    skew iff the two least points of each have rank 4 together.
     """
     r = matroid.rank_full
     if r <= 2:
@@ -119,7 +127,14 @@ def is_projective_geometry(matroid: Matroid) -> PgReport:
     if not matroid.is_simple():
         raise PreconditionFailed("recognizer expects a simple matroid; simplify first")
     plane = r == 3
-    lines = matroid.flats_of_rank(2)
+    lines = []
+    per_plane = {}  # plane -> number of lines in it; at rank 3, E -> #lines
+    for contract, line, minor in contractions(matroid, 2):
+        if popcount(contract) == 2:
+            lines.append(line)
+            for p in minor.points():
+                per_plane[line | p] = per_plane.get(line | p, 0) + 1
+    lines.sort()
     sizes = set()
     pairs = []  # the two least points of each line, which span it
     for line in lines:
@@ -129,13 +144,14 @@ def is_projective_geometry(matroid: Matroid) -> PgReport:
         sizes.add(c)
         rest = line & (line - 1)
         pairs.append(line & -line | rest & -rest)
-    for i, la in enumerate(lines):
-        for lb, pb in zip(lines[i + 1:], pairs[i + 1:]):
-            if la & lb:
-                continue
-            if matroid.rank(pairs[i] | pb) != 4:
-                return PgReport(None, plane,
-                                f"disjoint-lines-not-skew: {sorted(bits(la))} vs {sorted(bits(lb))}")
+    if any(n != popcount(p) for p, n in per_plane.items()):
+        for i, la in enumerate(lines):
+            for lb, pb in zip(lines[i + 1:], pairs[i + 1:]):
+                if la & lb:
+                    continue
+                if matroid.rank(pairs[i] | pb) != 4:
+                    return PgReport(None, plane,
+                                    f"disjoint-lines-not-skew: {sorted(bits(la))} vs {sorted(bits(lb))}")
     if len(sizes) != 1:
         return PgReport(None, plane, f"nonuniform-line-size: sizes {sorted(sizes)}")
     q = sizes.pop() - 1

@@ -1,22 +1,18 @@
 """Minor detection: longest line in a minor, small-target embeddings, and
 projective-geometry restrictions.
 
-Searches contract point representatives only (parallel elements give the
-same minor) and skip any contraction whose closure has been seen before
-(equal closures give minors with identical point structure).  Searches are
-exhaustive unless given a node cap `max_nodes`, and a search that runs out
-of nodes reports `unknown`, never a silent "no".
-
-The longest line in a minor is read off the corank-2 contractions alone:
-max_line_minor counts points only at the leaves M/F, F a flat of rank
-r - 2, since every line of a minor survives into one of them.
+Searches loop over `core.contractions`: one contraction set of point
+representatives per flat, since parallel elements and equal closures give
+minors with the same point structure.  Searches are exhaustive unless given
+a node cap `max_nodes`, and a search that runs out of nodes reports
+`unknown`, never a silent "no".
 """
 
 from dataclasses import dataclass
 
 from .bitset import bits, lowest, mask_of, spread
 from .certificates import ContractionLine, MinorEmbedding
-from .core import ExplicitMatroid, Matroid
+from .core import ExplicitMatroid, Matroid, contractions
 from .errors import (BudgetExceeded, PreconditionFailed, RankTooSmall,
                      SizeLimit, TargetTooLarge)
 from .geometry import is_projective_geometry, pg, theta
@@ -66,37 +62,14 @@ class _Nodes:
         return self.cap is not None and self.count > self.cap
 
 
-def _contractions(matroid: Matroid, max_depth: int):
-    """Yield (contract, minor) in DFS preorder over contraction sets of point
-    representatives, at most `max_depth` deep (a set's depth is its rank),
-    skipping sets whose closure was seen before.  A node's children are
-    built only when the caller resumes the generator after it."""
-    visited = {matroid.closure(0)}
-    stack = [(0, 0)]  # (contraction mask, depth)
-    while stack:
-        contract, depth = stack.pop()
-        minor = matroid.minor(contract=contract) if contract else matroid
-        yield contract, minor
-        if depth < max_depth:
-            children = []
-            for c in minor.points():
-                sub = contract | (1 << lowest(c))
-                closed = matroid.closure(sub)
-                if closed not in visited:
-                    visited.add(closed)
-                    children.append((sub, depth + 1))
-            stack.extend(reversed(children))
-
-
 def max_line_minor(matroid: Matroid, max_nodes: int | None = None,
                    stop_at: int | None = None) -> LineMinorResult:
     """Largest point count of a line in any minor of `matroid`.
 
     A line of M/C keeps its points when any point outside its span is
     contracted, so the answer is max eps(M/F) over the flats F of rank
-    r - 2.  The search walks the closure-deduplicated contraction DFS down
-    to those corank-2 leaves and counts points at the leaves only.  The
-    certificate is the first leaf attaining the maximum: an independent
+    r - 2, and the search counts points at those leaves of the walk only.
+    The certificate is the first leaf attaining the maximum: an independent
     contract set of r - 2 elements, with the whole surviving ground set as
     the line.  `stop_at` ends the search at the first leaf with at least
     that many points (the result is then exact as a lower bound >= stop_at).
@@ -112,7 +85,7 @@ def max_line_minor(matroid: Matroid, max_nodes: int | None = None,
         raise RankTooSmall(f"need rank >= 2, got {r}")
     nodes = _Nodes(max_nodes)
     best, best_cert = 0, None
-    for contract, minor in _contractions(matroid, r - 2):
+    for contract, _, minor in contractions(matroid, r - 2):
         if nodes.tick():
             return LineMinorResult(best, best_cert, False, nodes.count)
         if minor.rank_full > 2:
@@ -206,7 +179,7 @@ def minor_isomorphic(matroid: Matroid, target: ExplicitMatroid,
         return MinorOutcome(ABSENT)
     nodes = _Nodes(max_nodes)
     try:
-        for contract, minor in _contractions(matroid, max_c):
+        for contract, _, minor in contractions(matroid, max_c):
             if nodes.tick():
                 raise _OutOfNodes
             found = _try_embed(minor, target, nodes)
@@ -222,7 +195,8 @@ def minor_isomorphic(matroid: Matroid, target: ExplicitMatroid,
 PG_EMBED_LIMIT = 13
 
 
-def find_pg_restriction(matroid: Matroid, m: int, q: int) -> int | None:
+def find_pg_restriction(matroid: Matroid, m: int, q: int,
+                        nodes: _Nodes | None = None) -> int | None:
     """A point set S with M|S isomorphic to PG(m-1, q), or None.
 
     Scans rank-m flats in enumeration order.  A flat whose point count is
@@ -230,8 +204,9 @@ def find_pg_restriction(matroid: Matroid, m: int, q: int) -> int | None:
     flat is searched for an embedded copy by backtracking, provided
     theta(q, m) <= PG_EMBED_LIMIT.  Beyond that bound a denser flat is
     skipped, and a scan that skipped one and found nothing raises SizeLimit
-    rather than answer None.  Rank-3 hits carry the projective-plane caveat
-    of the recognizer.
+    rather than answer None.  The backtrack ticks `nodes`, a caller's node
+    cap, when given.  Rank-3 hits carry the projective-plane caveat of the
+    recognizer.
     """
     if m < 3:
         raise PreconditionFailed(f"need m >= 3, got {m}")
@@ -254,7 +229,7 @@ def find_pg_restriction(matroid: Matroid, m: int, q: int) -> int | None:
             skipped = True
             continue
         simple = matroid.restrict(reps)
-        found = _try_embed(simple, pg(m, q), _Nodes(None))
+        found = _try_embed(simple, pg(m, q), nodes or _Nodes(None))
         if found is not None:
             return mask_of(found)
     if skipped:
@@ -267,23 +242,27 @@ def find_pg_minor(matroid: Matroid, m: int, q: int,
                   max_nodes: int | None = None) -> MinorOutcome:
     """Contract-then-look-for-a-restriction search for a PG(m-1, q)-minor.
 
-    Exhaustive over contraction closures by default.  A contraction whose
-    restriction scan hits the embedding limit of find_pg_restriction is
-    passed over, and the search then ends `unknown` rather than `absent`.
+    Exhaustive over contraction closures unless `max_nodes` caps `nodes`,
+    the contraction sets plus the steps of the embedding backtrack.  A
+    contraction whose restriction scan hits the embedding limit of
+    find_pg_restriction is passed over, and the search then ends `unknown`
+    rather than `absent`.
     """
     max_c = matroid.rank_full - m
     if max_c < 0:
         return MinorOutcome(ABSENT)
     nodes = _Nodes(max_nodes)
     status = ABSENT
-    for contract, minor in _contractions(matroid, max_c):
+    for contract, _, minor in contractions(matroid, max_c):
         if nodes.tick():
             return MinorOutcome(UNKNOWN, None, nodes.count)
         try:
-            hit = find_pg_restriction(minor, m, q)
+            hit = find_pg_restriction(minor, m, q, nodes)
         except SizeLimit:
             status = UNKNOWN
             continue
+        except _OutOfNodes:
+            return MinorOutcome(UNKNOWN, None, nodes.count)
         if hit is not None:
             return MinorOutcome(FOUND, {"contract": contract, "restriction": hit},
                                 nodes.count)

@@ -371,22 +371,64 @@ def test_flats_of_rank_match_brute_force(i):
 
 
 def test_flats_of_rank_closes_each_cover_once(monkeypatch):
-    # PG(3,3) has 40 points and 13 lines through each: 1 + 40 + 40 * 13
-    # closures, where one per element outside each point took 1 + 40 + 40 * 39
-    from matroidlab.core import Matroid
+    # PG(3,3) has 40 points: the walk closes only the empty set, and takes
+    # the points of each flat of rank < 2 once (1 + 40 projections), reading
+    # every cover's closure off its parent's point classes
+    from matroidlab.core import LinearMatroid, Matroid
 
-    calls = []
-    closure = Matroid.closure
+    calls = {"closure": 0, "_project": 0}
 
-    def counted(self, subset):
-        calls.append(subset)
-        return closure(self, subset)
+    def count(cls, name):
+        orig = getattr(cls, name)
 
-    m = pg(4, 3)
-    monkeypatch.setattr(Matroid, "closure", counted)
-    lines = m.flats_of_rank(2)
-    assert len(calls) == 561
+        def counted(*args):
+            calls[name] += 1
+            return orig(*args)
+        monkeypatch.setattr(cls, name, counted)
+
+    count(Matroid, "closure")
+    count(LinearMatroid, "_project")
+    lines = pg(4, 3).flats_of_rank(2)
+    assert calls == {"closure": 1, "_project": 41}
     assert len(lines) == 130 and all(popcount(line) == 4 for line in lines)
+
+
+def _check_walk(m):
+    """Every node of a full-depth walk against the generic rank-oracle
+    routes: the closure it reads off its parent, once per flat, and its
+    points."""
+    from matroidlab.core import Matroid, contractions
+
+    seen = set()
+    for contract, closed, minor in contractions(m, m.rank_full):
+        assert m.rank(contract) == popcount(contract)
+        assert closed == Matroid._closure_impl(m, contract) and closed not in seen
+        assert minor.live == m.live & ~contract
+        assert minor.points() == Matroid._points_impl(minor, minor.live)
+        seen.add(closed)
+    assert m.live in seen
+
+
+@pytest.mark.parametrize("i", MESSY)
+def test_walk_matches_generic_routes(i):
+    m = _messy_linear(i)
+    for view in _views(m, random.Random(300 + i)):
+        _check_walk(view)
+
+
+@pytest.mark.parametrize("n, q", [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)])
+def test_walk_matches_generic_routes_on_pg(n, q):
+    _check_walk(pg(n, q))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: UniformMatroid(3, 7),
+    lambda: DirectSum([UniformMatroid(2, 4), pg(3, 2), UniformMatroid(1, 2)]),
+    lambda: ExplicitMatroid.from_matroid(random_linear(3, 3, 8, seed=5)),
+    lambda: DirectSum([pg(3, 3), UniformMatroid(2, 3)]).contract(1),
+])
+def test_walk_matches_generic_routes_off_linear_roots(make):
+    _check_walk(make())
 
 
 def test_explicit_rejects_bad_table():

@@ -1,5 +1,6 @@
 """Projective geometries: construction, density values, subfields, recognizer."""
 
+import random
 import time
 
 import pytest
@@ -10,6 +11,7 @@ from matroidlab import (UniformMatroid, bits, geometric_series_sum,
 from matroidlab.certificates import target_from_descriptor
 from matroidlab.errors import (NotASubfield, NotPrimePower, PreconditionFailed,
                                RankTooSmall, SizeLimit)
+from matroidlab.harness.catalogs import two_lines_rank_3
 
 
 def test_theta_values():
@@ -218,3 +220,101 @@ def test_recognizer_affine_geometry_has_disjoint_coplanar_lines(rank):
     report = is_projective_geometry(ag)
     assert report.order is None and report.plane == (rank == 3)
     assert report.failure.startswith("disjoint-lines-not-skew")
+
+
+def _pair_scan_report(m):
+    """The recognizer's checks from rank calls alone, in its order and with
+    its failure strings: the lines through each point a, one per point b
+    not yet covered, as the c with r({a, b, c}) = 2, and every pair of
+    disjoint lines ranked."""
+    from matroidlab.field import is_prime_power
+    from matroidlab.geometry import PgReport
+
+    r = m.rank_full
+    plane = r == 3
+    elems = list(bits(m.live))
+    found = set()
+    for a in elems:
+        rest = m.live & ~(1 << a)
+        while rest:
+            pair = 1 << a | rest & -rest
+            line = mask_of(c for c in elems if m.rank(pair | 1 << c) == 2)
+            found.add(line)
+            rest &= ~line
+    lines = sorted(found)
+    for line in lines:
+        if popcount(line) < 3:
+            return PgReport(None, plane, f"line-with-fewer-than-3-points: {sorted(bits(line))}")
+    for i, la in enumerate(lines):
+        for lb in lines[i + 1:]:
+            if not la & lb and m.rank(la | lb) != 4:
+                return PgReport(None, plane,
+                                f"disjoint-lines-not-skew: {sorted(bits(la))} vs {sorted(bits(lb))}")
+    sizes = sorted({popcount(line) for line in lines})
+    if len(sizes) != 1:
+        return PgReport(None, plane, f"nonuniform-line-size: sizes {sizes}")
+    q = sizes[0] - 1
+    if not plane and not is_prime_power(q):
+        return PgReport(None, plane, f"order-not-prime-power: {q}")
+    if m.size != geometric_series_sum(q, r):
+        return PgReport(None, plane, f"point-count-mismatch: {m.size} != theta({q},{r})")
+    if plane and len(lines) != m.size:
+        return PgReport(None, plane, f"line-count-mismatch: {len(lines)} lines")
+    return PgReport(q, plane)
+
+
+def _registry_members():
+    from matroidlab.harness import catalogs
+
+    for name in sorted(catalogs.REGISTRY):
+        for member in catalogs.registry_catalog(name).members:
+            m = member.matroid
+            if m.rank_full >= 3 and m.is_simple():
+                yield m
+
+
+def _non_modular_plane(n, q, seed):
+    """PG(n-1, q) less up to q - 2 seeded points of one plane (one point
+    over GF(2)): two lines of that plane that met at a deleted point no
+    longer meet, and for q >= 3 every line keeps at least 3 points."""
+    rng = random.Random(seed)
+    g = pg(n, q)
+    plane = rng.choice(g.flats_of_rank(3))
+    drop = rng.sample(list(bits(plane)), rng.randint(1, max(1, q - 2)))
+    return g.delete(mask_of(drop))
+
+
+def test_recognizer_matches_pair_scan_on_registry_members():
+    # the extremal census runs the recognizer on simple members of these
+    # catalogs; every simple member of rank >= 3 is compared here
+    count = 0
+    for m in _registry_members():
+        assert is_projective_geometry(m) == _pair_scan_report(m)
+        count += 1
+    assert count > 100
+
+
+def _affine(rank):
+    g = pg(rank, 3)
+    return g.restrict(mask_of(j for j, col in enumerate(g.columns) if col[0]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _affine(3), lambda: _affine(4),
+    lambda: two_lines_rank_3()[0],
+    lambda: pg(3, 2), lambda: pg(3, 3), lambda: pg(3, 4), lambda: pg(4, 2),
+    lambda: pg(4, 3), lambda: pg(4, 4), lambda: pg(5, 2),
+], ids=["AG(2,3)", "AG(3,3)", "two-lines", "PG(2,2)", "PG(2,3)", "PG(2,4)",
+        "PG(3,2)", "PG(3,3)", "PG(3,4)", "PG(4,2)"])
+def test_recognizer_matches_pair_scan(make):
+    m = make()
+    assert is_projective_geometry(m) == _pair_scan_report(m)
+
+
+@pytest.mark.parametrize("n, q, seed", [(n, q, seed) for n in (3, 4) for q in (2, 3, 4)
+                                        for seed in range(3)])
+def test_recognizer_matches_pair_scan_on_non_modular_planes(n, q, seed):
+    m = _non_modular_plane(n, q, seed)
+    report = is_projective_geometry(m)
+    assert report == _pair_scan_report(m)
+    assert report.order is None

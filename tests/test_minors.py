@@ -2,6 +2,7 @@
 paths cross-checked against the literal enumeration oracles."""
 
 import random
+import time
 
 import pytest
 from conftest import random_linear
@@ -238,6 +239,15 @@ def test_find_pg_restriction_skipped_flat_is_not_a_silent_no():
 def test_find_pg_minor_skipped_flat_is_unknown():
     out = find_pg_minor(pg(3, 5), 3, 4)
     assert out.status == UNKNOWN and out.nodes == 1
+
+
+def test_pg_minor_node_cap_bounds_the_embedding():
+    # PG(3,3) has no Fano minor, and the embedding backtrack inside each of
+    # its 13-point planes runs long; its steps count against the cap
+    start = time.perf_counter()
+    out = find_pg_minor(pg(4, 3), 3, 2, max_nodes=1)
+    assert out.status == UNKNOWN and out.nodes == 2
+    assert time.perf_counter() - start < 1
 
 
 def test_find_pg_minor_via_contraction():

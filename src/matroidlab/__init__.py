@@ -21,8 +21,8 @@ from .matrixio import emit_matrix, parse_matrix
 from .minors import (ABSENT, FOUND, UNKNOWN, LineMinorResult, MinorOutcome,
                      find_pg_minor, find_pg_restriction, has_u2n_minor,
                      max_line_minor, minor_isomorphic)
-from .procedures import (DensityTarget, DensityThreshold, GrowthPolicy,
-                         RoundDenseOutcome, gap_check, largest_prime_power_leq,
+from .procedures import (DensityTarget, GrowthPolicy, RoundDenseOutcome,
+                         gap_check, largest_prime_power_leq,
                          line_from_line_and_plane, prime_powers_up_to,
                          round_dense_restriction, round_restriction,
                          skew_dense_subset)

@@ -10,9 +10,10 @@ Loops are allowed everywhere; point counting ignores them, since
 contraction creates loops and the point count is insensitive to them.
 
 Closure and points have a generic route through the rank oracle on
-`Matroid`, kept as the reference; a `LinearMatroid` answers both from one
-echelon basis.  `contractions` is the one enumeration of the flat lattice,
-walked by flats, the minor searches and the recognizer.
+`Matroid`, kept as the reference; a `LinearMatroid` answers closure from
+one echelon basis and points from its cached point classes.
+`contractions` is the one enumeration of the flat lattice, walked by
+flats, the minor searches and the recognizer.
 """
 
 from .bitset import bits, check_ground_size, lowest, mask_of, popcount, spread
@@ -93,7 +94,9 @@ class Matroid:
 
     def points(self, within: int | None = None) -> list:
         """Parallel classes of non-loops (rank-1 flats minus loops), as masks,
-        ordered by least element."""
+        ordered by least element.  The points of M|within are the classes
+        of M that meet `within`, cut to it; over a linear root they are read
+        off the cached classes of M, on other matroids found by rank calls."""
         if within is None:
             return list(self._keyed_points().values())
         if within & ~self.live:
@@ -122,6 +125,13 @@ class Matroid:
         if self._keyed is None:
             self._keyed = dict(enumerate(self._points_impl(self.live)))
         return self._keyed
+
+    def _cut_points(self, within: int) -> list:
+        """The points of M|within read off the cached points of M: the
+        classes that meet `within`, cut to it, by least element."""
+        out = [x for c in self._keyed_points().values() if (x := c & within)]
+        out.sort(key=lowest)
+        return out
 
     def epsilon(self, within: int | None = None) -> int:
         """Number of points, of the whole matroid or of the restriction to
@@ -281,7 +291,10 @@ class LinearMatroid(Matroid):
     the root.  Over GF(2) columns are packed into ints and reduced by xor,
     otherwise rows are reduced through the field tables.  closure(X)
     eliminates X once and keeps the columns that reduce to zero against
-    that basis; the points of M/C are the columns projected modulo span(C).
+    that basis.  The points of M/C are the columns projected modulo
+    span(C); the root projects all its columns once (C empty, keyed by
+    normal form), so points(within) on it and on its restrictions is a
+    lookup that makes no normal form or rank call.
     """
 
     def __init__(self, fieldspec, columns):
@@ -403,8 +416,13 @@ class LinearMatroid(Matroid):
                 out |= low
         return out
 
-    def _points_impl(self, within: int, contract: int = 0) -> list:
-        return list(self._project(within, contract).values())
+    def _points_impl(self, within: int) -> list:
+        return self._cut_points(within)
+
+    def _keyed_points(self) -> dict:
+        if self._keyed is None:
+            self._keyed = self._project(self.live, 0)
+        return self._keyed
 
     def _project(self, within: int, contract: int, parent=None) -> dict:
         """Points of M/contract within `within`, keyed by normal form modulo
@@ -421,7 +439,7 @@ class LinearMatroid(Matroid):
         else:
             basis = self._echelon(contract)
             vectors = self._packed or self.columns
-            pairs = [(vectors[e], 1 << e) for e in bits(within)]
+            pairs = [(v, 1 << e) for e, v in enumerate(vectors) if within >> e & 1]
         out = {}
         for v, c in pairs:
             key = normal(v, basis)
@@ -505,12 +523,19 @@ class MinorView(Matroid):
 
     Nested views flatten, so contracting C1 and then C2 is literally the
     view with contract set C1 | C2; rank(X) = r_root(X | C) - r_root(C) and
-    cl(X) = cl_root(X | C) - C - D.  Over a linear root the root projects
-    the points modulo span(C) (`LinearMatroid._project`, given `parent`).
+    cl(X) = cl_root(X | C) - C - D.  r_root(C) is taken when a rank is
+    first asked for, unless the caller knows it: `rank_contract` is the
+    rank of `contract` in `base` (the walk's depth).  Over a linear root a
+    view without contraction reads the root's point classes, and a
+    contraction projects its points modulo span(C) once
+    (`LinearMatroid._project`, given `parent`).
     """
 
-    def __init__(self, base: Matroid, contract: int, delete: int, parent=None):
+    def __init__(self, base: Matroid, contract: int, delete: int, parent=None,
+                 rank_contract: int | None = None):
         if isinstance(base, MinorView):
+            if rank_contract is not None:
+                rank_contract += base._contract_rank()
             contract |= base.contracted
             delete |= base.deleted
             base = base.base
@@ -518,20 +543,27 @@ class MinorView(Matroid):
         self.contracted = contract
         self.deleted = delete
         self._init_ground(base.n, base.live & ~contract & ~delete)
-        self._rank_contract = base.rank(contract)
+        self._rank_contract = rank_contract
         self._parent = parent
 
+    def _contract_rank(self) -> int:
+        if self._rank_contract is None:
+            self._rank_contract = self.base._rank_impl(self.contracted)
+        return self._rank_contract
+
     def _rank_impl(self, subset: int) -> int:
-        return self.base._rank_impl(subset | self.contracted) - self._rank_contract
+        return self.base._rank_impl(subset | self.contracted) - self._contract_rank()
 
     def _closure_impl(self, subset: int) -> int:
         # cl_{M/C}(X) = cl_M(X | C) - C, cut to the surviving elements
         return self.base._closure_impl(subset | self.contracted) & self.live
 
     def _points_impl(self, within: int) -> list:
-        if isinstance(self.base, LinearMatroid):
-            return self.base._points_impl(within, self.contracted)
-        return super()._points_impl(within)
+        if not isinstance(self.base, LinearMatroid):
+            return super()._points_impl(within)
+        if not self.contracted:
+            return self.base._points_impl(within)
+        return self._cut_points(within)
 
     def _keyed_points(self) -> dict:
         if self._keyed is None and isinstance(self.base, LinearMatroid):
@@ -590,7 +622,7 @@ def contractions(matroid: Matroid, max_depth: int):
     stack = [(0, root, 0, None)]  # (contract, closure, depth, parent)
     while stack:
         contract, closed, depth, parent = stack.pop()
-        minor = MinorView(matroid, contract, 0, parent)
+        minor = MinorView(matroid, contract, 0, parent, depth)
         yield contract, closed, minor
         if depth < max_depth:
             keyed = minor._keyed_points()

@@ -10,7 +10,7 @@ a node cap `max_nodes`, and a search that runs out of nodes reports
 
 from dataclasses import dataclass
 
-from .bitset import bits, lowest, mask_of, spread
+from .bitset import bits, lowest, mask_of, popcount, spread
 from .certificates import ContractionLine, MinorEmbedding
 from .core import ExplicitMatroid, Matroid, contractions
 from .errors import (BudgetExceeded, PreconditionFailed, RankTooSmall,
@@ -69,6 +69,8 @@ def max_line_minor(matroid: Matroid, max_nodes: int | None = None,
     A line of M/C keeps its points when any point outside its span is
     contracted, so the answer is max eps(M/F) over the flats F of rank
     r - 2, and the search counts points at those leaves of the walk only.
+    A node's contract set is independent, so its corank is r - |C| and the
+    walk asks no rank.
     The certificate is the first leaf attaining the maximum: an independent
     contract set of r - 2 elements, with the whole surviving ground set as
     the line.  `stop_at` ends the search at the first leaf with at least
@@ -88,7 +90,7 @@ def max_line_minor(matroid: Matroid, max_nodes: int | None = None,
     for contract, _, minor in contractions(matroid, r - 2):
         if nodes.tick():
             return LineMinorResult(best, best_cert, False, nodes.count)
-        if minor.rank_full > 2:
+        if r - popcount(contract) > 2:
             continue
         count = minor.epsilon()
         if count > best:

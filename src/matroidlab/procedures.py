@@ -158,38 +158,19 @@ class GrowthPolicy:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class DensityThreshold:
-    """Caller-supplied stand-in for the density-to-geometry threshold.
-
-    The underlying integer-valued threshold function is external to this
-    library and no values for it are published; anything needing one takes
-    it from here and is disabled while unset.
-    """
-
-    alpha: Fraction | None = None
-    provenance: str = "unset"
-
-    def __post_init__(self):
-        if self.alpha is not None:
-            object.__setattr__(self, "alpha", Fraction(self.alpha))
-            if self.alpha < 1:
-                raise PreconditionFailed("alpha must be >= 1 when set")
-
-    @property
-    def enabled(self) -> bool:
-        return self.alpha is not None
-
-
 # -- skew dense subset ---------------------------------------------------------
 
 
 def _greedy_shrink(m: Matroid, subset: int, lam: Fraction, q: int) -> int:
-    """Drop least-index points while the density bound survives."""
+    """Drop least-index points while the density bound survives.  Each
+    candidate is a whole point P of M|subset, so eps(subset - P) is one
+    less than eps(subset): one point count per step."""
     while True:
-        for cls in m.points(subset):
+        classes = m.points(subset)
+        count = len(classes) - 1
+        for cls in classes:
             smaller = subset & ~cls
-            if m.epsilon(smaller) > lam * q ** m.rank(smaller):
+            if count > lam * q ** m.rank(smaller):
                 subset = smaller
                 break
         else:
@@ -218,9 +199,10 @@ def _skew_to_element(m: Matroid, subset: int, e: int, lam: Fraction,
     """Shrink `subset` until it is skew to the single non-loop element e,
     keeping more than (lam / l) * q^rank points.
 
-    One majority step through the hyperplanes over a corank-2 flat; if the
+    One majority step through the hyperplanes over a corank-2 flat w; if the
     hyperplane through e is itself still dense at its own rank, descend into
-    it first (rank strictly drops, so this terminates).
+    it first (rank strictly drops, so this terminates).  w is a flat, so
+    the hyperplanes over it are w | P for the points P of scope/w.
     """
     ebit = 1 << e
     while True:
@@ -245,7 +227,7 @@ def _skew_to_element(m: Matroid, subset: int, e: int, lam: Fraction,
         h_through_e = None
         rivals = []
         for cls in classes:
-            flat = scope.closure(w | (1 << lowest(cls)))
+            flat = w | cls
             if cls & ebit:
                 h_through_e = flat
             else:

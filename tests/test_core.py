@@ -288,8 +288,7 @@ def test_gf2_packed_path_matches_table_path():
         for x in range(1 << 11):
             assert m.rank(x) == shadow._rank_tables(x)
             assert m._closure_impl(x) == shadow._closure_impl(x)
-            rest = m.live & ~x
-            assert m._points_impl(rest, x) == shadow._points_impl(rest, x)
+            assert m.contract(x).points() == shadow.contract(x).points()
 
 
 # -- linear fast paths against the generic rank-oracle routes -------------------
@@ -352,6 +351,57 @@ def test_view_points_match_generic_route(i):
             assert view.points(w) == Matroid._points_impl(view, w)
 
 
+def _cached_views(m, rng):
+    """The matroid, a restriction, a contraction and a restriction of a
+    contraction: the views that answer points(w) from cached classes."""
+    elems = list(bits(m.live))
+    a, b = (1 << p for p in rng.sample(elems, 2))
+    keep = mask_of(e for e in elems if rng.random() < 0.7)
+    return [m, m.restrict(keep), m.contract(a),
+            m.contract(a | b).restrict(keep & ~(a | b))]
+
+
+@pytest.mark.parametrize("make", [
+    *(pytest.param(lambda i=i: _messy_linear(i), id=f"messy-{i}") for i in range(24)),
+    pytest.param(lambda: pg(4, 3), id="pg4q3"),
+])
+def test_cached_points_match_generic_route(make):
+    # the points of M|w are M's classes cut to w; asked twice, the second
+    # answer comes from the cache and must be the same, order included
+    from matroidlab.core import Matroid
+
+    m = make()
+    rng = random.Random(m.n)
+    for view in _cached_views(m, rng):
+        masks = _subsets(view, rng, count=20)
+        want = [Matroid._points_impl(view, w) for w in masks]
+        assert [view.points(w) for w in masks] == want
+        assert [view.points(w) for w in masks] == want
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_repeat_points_make_no_elimination(q, monkeypatch):
+    # GF(2) reduces packed columns, GF(3) goes through the field tables
+    from matroidlab.core import LinearMatroid
+
+    m = pg(4, q)
+    rng = random.Random(q)
+    views = _cached_views(m, rng)
+    masks = [_subsets(view, rng) for view in views]
+    first = [[view.points(w) for w in ws] for view, ws in zip(views, masks)]
+    calls = {"_normal_tables": 0, "_reduce_gf2": 0, "_rank_impl": 0}
+    for name in calls:
+        orig = getattr(LinearMatroid, name)
+
+        def counted(*args, name=name, orig=orig):
+            calls[name] += 1
+            return orig(*args)
+        monkeypatch.setattr(LinearMatroid, name, counted)
+    again = [[view.points(w) for w in ws] for view, ws in zip(views, masks)]
+    assert again == first
+    assert calls == {"_normal_tables": 0, "_reduce_gf2": 0, "_rank_impl": 0}
+
+
 @pytest.mark.parametrize("i", MESSY)
 def test_flats_of_rank_match_brute_force(i):
     from matroidlab.harness.oracles import to_explicit
@@ -395,13 +445,14 @@ def test_flats_of_rank_closes_each_cover_once(monkeypatch):
 
 def _check_walk(m):
     """Every node of a full-depth walk against the generic rank-oracle
-    routes: the closure it reads off its parent, once per flat, and its
-    points."""
+    routes: the closure it reads off its parent, once per flat, its rank
+    (from the depth) and its points."""
     from matroidlab.core import Matroid, contractions
 
     seen = set()
     for contract, closed, minor in contractions(m, m.rank_full):
         assert m.rank(contract) == popcount(contract)
+        assert minor.rank_full == m.rank_full - popcount(contract)
         assert closed == Matroid._closure_impl(m, contract) and closed not in seen
         assert minor.live == m.live & ~contract
         assert minor.points() == Matroid._points_impl(minor, minor.live)

@@ -32,6 +32,23 @@ def test_max_line_pg34_pins_its_counts():
     assert verify_certificate(res.certificate, pg(4, 4))
 
 
+def test_max_line_walk_ranks_only_the_root(monkeypatch):
+    # a walk node's contract set is independent, so its corank is r - |C|:
+    # the search takes r(M) once and no view ranks its contract set
+    calls = []
+    rank_impl = LinearMatroid._rank_impl
+
+    def counted(self, subset):
+        calls.append(subset)
+        return rank_impl(self, subset)
+
+    monkeypatch.setattr(LinearMatroid, "_rank_impl", counted)
+    m = pg(4, 4)
+    res = max_line_minor(m)
+    assert (res.points, res.nodes, res.exact) == (5, 443, True)
+    assert calls == [m.live]
+
+
 def test_max_line_u36():
     res = max_line_minor(UniformMatroid(3, 6))
     assert res.points == 5 and res.exact

@@ -1,16 +1,19 @@
 """Density procedures: skew extraction, round descent, the dichotomy, the
 line-and-plane contraction, prime-power arithmetic."""
 
+import hashlib
 import tracemalloc
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from conftest import growth_instance, skew_dense_instance
 
-from matroidlab import (DirectSum, UniformMatroid, bits, pg, popcount,
+from matroidlab import (DirectSum, UniformMatroid, bits, pg, popcount, procedures,
                         subfield_subgeometry, theta, verify_certificate)
+from matroidlab.bitset import lowest
 from matroidlab.errors import (NoFreeElement, NotPrimePower, PreconditionFailed,
-                               InternalContradiction)
+                               InternalContradiction, NoSuchFlat)
 from matroidlab.harness.catalogs import (fano_plus_point, two_lines_rank_3,
                                          u23_plus_u23)
 from matroidlab.procedures import (DensityTarget, GrowthPolicy, _witness_claims,
@@ -105,17 +108,6 @@ def test_theta_halving_policy():
         GrowthPolicy.theta_halving(3, 3)
 
 
-def test_density_threshold_config():
-    from matroidlab.procedures import DensityThreshold
-
-    unset = DensityThreshold()
-    assert not unset.enabled and unset.provenance == "unset"
-    given = DensityThreshold(Fraction(7, 2), "external table, run 3")
-    assert given.enabled and given.alpha == Fraction(7, 2)
-    with pytest.raises(PreconditionFailed):
-        DensityThreshold(Fraction(1, 2))
-
-
 # -- skew dense subset ---------------------------------------------------------------
 
 def test_skew_dense_pg42_instance():
@@ -173,6 +165,85 @@ def test_skew_dense_seeded_mini_suite(index):
     assert m.epsilon(sub) > floor
 
 
+@cache
+def _criterion_05_results():
+    """skew_dense_subset on the 500 instances of acceptance criterion 05."""
+    return tuple(skew_dense_subset(*skew_dense_instance(i)) for i in range(500))
+
+
+def _digest(results):
+    return hashlib.sha256(",".join(map(str, results)).encode()).hexdigest()
+
+
+def test_skew_dense_results_are_pinned():
+    # a change to the procedures cannot shift an answer silently: these
+    # digests were taken before point counts came from cached classes
+    assert _digest(_criterion_05_results()) == (
+        "139e3df9978509f78f48a39320556502692054cfe990e2cdd945d5b02a2eae59")
+
+
+def _greedy_shrink_by_recount(m, subset, lam, q):
+    """The shrink step counting the points of every candidate afresh."""
+    while True:
+        for cls in m.points(subset):
+            smaller = subset & ~cls
+            if m.epsilon(smaller) > lam * q ** m.rank(smaller):
+                subset = smaller
+                break
+        else:
+            return subset
+
+
+def _skew_to_element_by_closure(m, subset, e, lam, q, l):
+    """The single-element step closing w plus a representative of each
+    point of scope/w to get the hyperplanes over w."""
+    ebit = 1 << e
+    while True:
+        if m.is_skew(subset, ebit):
+            return subset
+        subset = procedures._greedy_shrink(m, subset, lam, q)
+        scope = m.restrict(subset | ebit)
+        r0 = scope.rank_full
+        if r0 < 2:
+            raise NoSuchFlat("dense set has rank < 2")
+        w = procedures._flat_avoiding(scope, e, r0 - 2)
+        classes = scope.contract(w).points()
+        if len(classes) - 1 > l:
+            raise PreconditionFailed("long line")
+        h_through_e = None
+        rivals = []
+        for cls in classes:
+            flat = scope.closure(w | (1 << lowest(cls)))
+            if cls & ebit:
+                h_through_e = flat
+            else:
+                rivals.append(flat)
+        inside = subset & h_through_e
+        if scope.epsilon(inside) > lam * q ** scope.rank(inside):
+            subset = inside
+            continue
+        best = None
+        for flat in rivals:
+            count = scope.epsilon(flat & subset)
+            if best is None or count > best[0]:
+                best = (count, flat)
+        return subset & best[1]
+
+
+@pytest.mark.parametrize("name, reference", [
+    ("_greedy_shrink", _greedy_shrink_by_recount),
+    ("_skew_to_element", _skew_to_element_by_closure),
+])
+def test_skew_dense_shortcuts_match_references(name, reference, monkeypatch):
+    # eps(S - P) = eps(S) - 1 for a point P of M|S, and the hyperplanes over
+    # the flat w are w | P for the points P of M/w: each shortcut, swapped
+    # back for the step it replaced, gives the same sets
+    want = _criterion_05_results()[:200]
+    monkeypatch.setattr(procedures, name, reference)
+    got = tuple(skew_dense_subset(*skew_dense_instance(i)) for i in range(200))
+    assert got == want
+
+
 # -- round restriction ------------------------------------------------------------------
 
 def test_round_restriction_round_input_is_identity():
@@ -213,6 +284,12 @@ def test_round_restriction_seeded_mini_suite(index):
     assert view.is_round()
     assert view.epsilon() >= policy.value(m.rank(sub))
     assert m.rank(sub) >= 1
+
+
+def test_round_restriction_results_are_pinned():
+    results = [round_restriction(*growth_instance(i)) for i in range(45)]
+    assert _digest(results) == (
+        "b30f976483c8ff3e8ef71d9dfb84f8ab95eec1fda5f50416cd2edff472a801e8")
 
 
 # -- round dense dichotomy ----------------------------------------------------------------

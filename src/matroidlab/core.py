@@ -20,6 +20,7 @@ from .bitset import bits, check_ground_size, lowest, mask_of, popcount, spread
 from .certificates import HyperplanePairCover, Partition
 from .errors import (OutOfRange, OverlapError, PreconditionFailed, RankZero,
                      SizeLimit)
+from .field import vector_packing
 
 
 class Matroid:
@@ -239,6 +240,7 @@ class Matroid:
         # the first non-loop goes to side A; sides are symmetric
         start = self.closure(1 << lowest(first))
         hit = search(start, loops) if self.rank(start) < r else None
+        del search  # it refers to itself; the cycle would hold self until a gc pass
         if hit is None:
             self._roundness = (True, None)
         else:
@@ -288,13 +290,16 @@ class LinearMatroid(Matroid):
     """Columns of a matrix over GF(q); rank = column rank by elimination.
 
     Rank queries are cached per subset mask; views share the cache through
-    the root.  Over GF(2) columns are packed into ints and reduced by xor,
-    otherwise rows are reduced through the field tables.  closure(X)
-    eliminates X once and keeps the columns that reduce to zero against
-    that basis.  The points of M/C are the columns projected modulo
-    span(C); the root projects all its columns once (C empty, keyed by
-    normal form), so points(within) on it and on its restrictions is a
-    lookup that makes no normal form or rank call.
+    the root.  Columns are packed into ints once (`field.VectorPacking`).
+    Over GF(2) they are reduced by xor against a basis of leading bits;
+    over larger fields a basis row holds its pivot offset and its
+    multiples by slot pattern, so a reduction step is one shift, one mask
+    and one slot-wise add.  closure(X) eliminates X once and keeps the
+    columns that reduce to zero against that basis.  The points of M/C
+    are the columns projected modulo span(C); the root projects all its
+    columns once (C empty, keyed by normal form), so points(within) on it
+    and on its restrictions is a lookup that makes no normal form or rank
+    call.
     """
 
     def __init__(self, fieldspec, columns):
@@ -310,17 +315,15 @@ class LinearMatroid(Matroid):
             if any(not 0 <= a < q for a in col):
                 raise OutOfRange(f"column {j} has entries outside 0..{q - 1}")
         self._cache = {0: 0}
-        if q == 2:
-            self._packed = tuple(sum(1 << i for i, a in enumerate(col) if a)
-                                 for col in columns)
-        else:
-            self._packed = None
+        self._gf2 = q == 2
+        self._pack = vector_packing(fieldspec, self.nrows)
+        self._vecs = tuple(map(self._pack.pack, columns))
 
     def _rank_impl(self, subset: int) -> int:
         got = self._cache.get(subset)
         if got is not None:
             return got
-        if self._packed is not None:
+        if self._gf2:
             rank = self._rank_gf2(subset)
         else:
             rank = self._rank_tables(subset)
@@ -335,7 +338,7 @@ class LinearMatroid(Matroid):
         while subset and len(basis) < self.nrows:
             low = subset & -subset
             subset ^= low
-            v = self._reduce_gf2(self._packed[low.bit_length() - 1], basis)
+            v = self._reduce_gf2(self._vecs[low.bit_length() - 1], basis)
             if v:
                 basis.append(v)
                 basis.sort(reverse=True)
@@ -343,15 +346,15 @@ class LinearMatroid(Matroid):
 
     def _rank_tables(self, subset: int, basis: list | None = None) -> int:
         """Rank of span(basis) plus the columns of `subset`; a given
-        `basis` (from `_normal_tables`, by pivot) is extended in place."""
+        `basis` (rows from `VectorPacking.row`, by pivot) is extended in place."""
         if basis is None:
             basis = []
         while subset and len(basis) < self.nrows:
             low = subset & -subset
             subset ^= low
-            v = self._normal_tables(self.columns[low.bit_length() - 1], basis)
+            v = self._normal_tables(self._vecs[low.bit_length() - 1], basis)
             if v:
-                basis.append(v)
+                basis.append(self._pack.row(v))
                 basis.sort()
         return len(basis)
 
@@ -366,47 +369,42 @@ class LinearMatroid(Matroid):
                 v = w
         return v
 
-    def _reduce_tables(self, v, basis: list) -> list | None:
-        """Vector v modulo span(basis), or None if it lies in the span.
-        Basis rows are (pivot, row) pairs in pivot order, each row zero
-        before its pivot and 1 at it, so the result is zero at every
-        basis pivot: the one such vector of its coset."""
-        f = self.field
-        q, add, mul, neg, nrows = f.q, f.add_flat, f.mul_flat, f.neg, self.nrows
-        v = list(v)
-        for pivot, u in basis:
-            c = v[pivot]
+    def _reduce_tables(self, v: int, basis: list) -> int:
+        """Packed vector v modulo span(basis), over GF(q), q > 2.  Basis
+        rows come in pivot order, each zero before its pivot and 1 at it,
+        so the result is zero at every basis pivot: the one such vector of
+        its coset, and 0 iff v lies in the span."""
+        pk = self._pack
+        mask = pk.mask
+        if pk.p == 2:
+            for off, mults in basis:
+                v ^= mults[v >> off & mask]
+            return v
+        bias, guard, shift, p = pk.bias, pk.guard, pk.w - 1, pk.p
+        for off, mults in basis:  # `VectorPacking.add`, inlined
+            c = v >> off & mask
             if c:
-                cn = neg[c] * q
-                for i in range(pivot, nrows):
-                    ui = u[i]
-                    if ui:
-                        v[i] = add[v[i] * q + mul[cn + ui]]
-        return v if any(v) else None
+                s = v + mults[c]
+                v = s - ((s + bias & guard) >> shift) * p
+        return v
 
-    def _normal_tables(self, v, basis: list) -> tuple | None:
-        """`_reduce_tables` scaled to 1 at its first nonzero entry, as
-        (pivot, row): the same for every column of one point of
-        M/span(basis), and a row that can join the basis."""
+    def _normal_tables(self, v: int, basis: list) -> int:
+        """`_reduce_tables` scaled to 1 at its lowest nonzero coordinate:
+        the same for every column of one point of M/span(basis), and a
+        vector that can join the basis (0 if v lies in the span)."""
         v = self._reduce_tables(v, basis)
-        if v is None:
-            return None
-        f = self.field
-        for i, a in enumerate(v):
-            if a:
-                iv = f.inv[a] * f.q
-                return i, tuple(map(f.mul_flat[iv:iv + f.q].__getitem__, v))
+        return self._pack.normal(v) if v else 0
 
     def _echelon(self, subset: int) -> list:
         """An echelon basis of the columns of `subset`."""
         basis = []
-        (self._rank_tables if self._packed is None else self._rank_gf2)(subset, basis)
+        (self._rank_gf2 if self._gf2 else self._rank_tables)(subset, basis)
         return basis
 
     def _closure_impl(self, subset: int) -> int:
         basis = self._echelon(subset)
-        residue = self._reduce_tables if self._packed is None else self._reduce_gf2
-        vectors = self._packed or self.columns
+        residue = self._reduce_gf2 if self._gf2 else self._reduce_tables
+        vectors = self._vecs
         out = subset
         s = self.live & ~subset
         while s:
@@ -430,16 +428,14 @@ class LinearMatroid(Matroid):
         a loop).  Given `parent`, the keyed points of M/(contract - e) in
         place of `within` and the key of e's class, each key (zero at the
         pivots of span(contract - e)) is reduced against e's key alone."""
-        packed = self._packed is not None
-        normal = self._reduce_gf2 if packed else self._normal_tables
         if parent:
             classes, pivot = parent
-            basis = [pivot]
-            pairs = [(k if packed else k[1], c) for k, c in classes.items()]
+            basis = [pivot if self._gf2 else self._pack.row(pivot)]
+            pairs = classes.items()
         else:
             basis = self._echelon(contract)
-            vectors = self._packed or self.columns
-            pairs = [(v, 1 << e) for e, v in enumerate(vectors) if within >> e & 1]
+            pairs = [(v, 1 << e) for e, v in enumerate(self._vecs) if within >> e & 1]
+        normal = self._reduce_gf2 if self._gf2 else self._normal_tables
         out = {}
         for v, c in pairs:
             key = normal(v, basis)

@@ -6,8 +6,12 @@ polynomial.  The modulus is the lexicographically least irreducible monic
 polynomial of degree k (least integer encoding), so tables, matrices and
 point orderings built on top of them are stable across runs.
 
-Tables are tiny (q is desk-scale) and every operation is a flat-list lookup,
-which is what the elimination inner loops want.
+Tables are tiny (q is desk-scale) and every operation is a flat-list lookup.
+Elimination does not walk them entry by entry: `VectorPacking` packs a
+column into one int (base-p digits in bit slots), and `core.LinearMatroid`
+reduces whole vectors at once.  The tables serve only to build a packing,
+to invert pivots and, over odd GF(p^k) with k > 1, to take scalar
+multiples.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -214,3 +218,136 @@ def field_make(q: int) -> FieldSpec:
     add, mul, neg, inv = _build_tables(p, k, modulus)
     return FieldSpec(q=q, p=p, k=k, modulus=modulus,
                      add_flat=add, mul_flat=mul, neg=neg, inv=inv)
+
+
+# -- vectors packed into ints ----------------------------------------------
+
+class VectorPacking:
+    """GF(q) vectors of `nrows` coordinates packed into one int.
+
+    Coordinate i holds its k base-p digits in slots of w bits from bit
+    i*k*w up, the digit of x^j in slot j, so row 0 is lowest.  Over
+    characteristic 2, w = 1 and adding is xor; otherwise a slot has a guard
+    bit above any sum of two digits, and adding is one integer add and the
+    subtraction of p from each slot whose sum reached p.  The raw slot
+    pattern of an element is its own value when p = 2 or k = 1.
+    """
+
+    def __init__(self, field: FieldSpec, nrows: int):
+        p, k = field.p, field.k
+        w = 1 if p == 2 else (p - 1).bit_length() + 1
+        self.field, self.p, self.k, self.w = field, p, k, w
+        self.width = k * w
+        self.mask = (1 << k * w) - 1
+        self.pattern = [sum(a // p ** j % p << j * w for j in range(k))
+                        for a in range(field.q)]
+        self.elem = {c: a for a, c in enumerate(self.pattern)}
+        self.inv = {c: field.inv[a] for a, c in enumerate(self.pattern) if a}
+        if p == 2:
+            # x^(k-1) digit of every coordinate, and x^k folded into lower digits
+            self.top = sum(1 << s + k - 1 for s in range(0, nrows * k, k))
+            self.fold = sum(m << j for j, m in enumerate(field.modulus[:k]))
+        else:
+            slots = range(0, nrows * k * w, w)
+            self.guard = sum(1 << s + w - 1 for s in slots)
+            self.bias = sum((1 << w - 1) - p << s for s in slots)
+
+    def pack(self, col) -> int:
+        width, pattern, v = self.width, self.pattern, 0
+        for a in reversed(col):
+            v = v << width | pattern[a]
+        return v
+
+    def add(self, v: int, u: int) -> int:
+        """v + u for odd p: a slot with sum >= p sets its guard bit once
+        biased by 2^(w-1) - p, and loses p."""
+        s = v + u
+        return s - ((s + self.bias & self.guard) >> self.w - 1) * self.p
+
+    def mulx(self, v: int) -> int:
+        """x·v over GF(2^k): shift every coordinate up one digit and fold
+        its x^k back through the modulus."""
+        hi = v & self.top
+        return (v ^ hi) << 1 ^ (hi >> self.k - 1) * self.fold
+
+    def scale(self, v: int, b: int) -> int:
+        """b·v for a field element b."""
+        out = 0
+        if self.p == 2:
+            while True:
+                if b & 1:
+                    out ^= v
+                b >>= 1
+                if not b:
+                    return out
+                v = self.mulx(v)
+        if self.k == 1:  # double and add
+            while True:
+                if b & 1:
+                    out = self.add(out, v)
+                b >>= 1
+                if not b:
+                    return out
+                v = self.add(v, v)
+        # odd p^k, k > 1: coordinate by coordinate through the tables
+        f, width, mask, i = self.field, self.width, self.mask, 0
+        row = b * f.q
+        while v:
+            c = v & mask
+            if c:
+                out |= self.pattern[f.mul_flat[row + self.elem[c]]] << i
+            v >>= width
+            i += width
+        return out
+
+    def normal(self, v: int) -> int:
+        """Nonzero v scaled to 1 at its lowest nonzero coordinate."""
+        off = ((v & -v).bit_length() - 1) // self.width * self.width
+        c = v >> off & self.mask
+        return v if c == 1 else self.scale(v, self.inv[c])
+
+    def row(self, u: int) -> tuple:
+        """A basis row for a normal form u: (offset of its pivot, -c·u by
+        the slot pattern c), so one reduction step adds mults[c] to v, for
+        c the pattern of v at that offset."""
+        off = ((u & -u).bit_length() - 1) // self.width * self.width
+        if self.p == 2:  # -c·u = c·u, xor-combinations of x^j·u
+            mults = [0, u]
+            for _ in range(self.k - 1):
+                u = self.mulx(u)
+                mults += [m ^ u for m in mults]
+        elif self.k == 1:  # j·u by repeated addition; -c·u = (p - c)·u
+            mults = [0, u]
+            for _ in range(self.p - 2):
+                mults.append(self.add(mults[-1], u))
+            mults[1:] = mults[:0:-1]
+        else:
+            mults = _TableMultiples(self, u)
+        return off, mults
+
+
+class _TableMultiples(dict):
+    """-c·u by slot pattern c over odd GF(p^k), k > 1, each taken through the
+    field tables on first use."""
+
+    def __init__(self, packing: VectorPacking, u: int):
+        super().__init__()
+        self.packing, self.u = packing, u
+
+    def __missing__(self, c: int) -> int:
+        pk = self.packing
+        m = self[c] = pk.scale(self.u, pk.field.neg[pk.elem[c]])
+        return m
+
+
+_PACKINGS = {}
+
+
+def vector_packing(field: FieldSpec, nrows: int) -> VectorPacking:
+    """The packing of height-`nrows` vectors over `field`, cached per
+    (q, nrows): keying by the FieldSpec would hash its q^2-entry tables."""
+    key = field.q, nrows
+    got = _PACKINGS.get(key)
+    if got is None:
+        got = _PACKINGS[key] = VectorPacking(field, nrows)
+    return got

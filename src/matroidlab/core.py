@@ -18,8 +18,8 @@ flats, the minor searches and the recognizer.
 
 from .bitset import bits, check_ground_size, lowest, mask_of, popcount, spread
 from .certificates import HyperplanePairCover, Partition
-from .errors import (OutOfRange, OverlapError, PreconditionFailed, RankZero,
-                     SizeLimit)
+from .errors import (InternalContradiction, OutOfRange, OverlapError,
+                     PreconditionFailed, RankZero, SizeLimit)
 from .field import vector_packing
 
 
@@ -66,18 +66,39 @@ class Matroid:
     # -- closure and flats -------------------------------------------------
 
     def closure(self, subset: int) -> int:
-        """Elements whose addition does not raise the rank of `subset`."""
+        """Elements whose addition does not raise the rank of `subset`:
+        `_closure_impl(subset, live)`.  Internal callers that read the
+        closure at a few elements pass those as `within`, so each route
+        tests only them."""
         if subset & ~self.live:
             raise OutOfRange(f"subset 0x{subset:x} has bits outside the ground set")
-        return self._closure_impl(subset)
+        return self._closure_impl(subset, self.live)
 
-    def _closure_impl(self, subset: int) -> int:
+    def _closure_impl(self, subset: int, within: int) -> int:
+        """cl(subset) & within, for `within` a subset of live: only the
+        elements of within - subset are tested, here by a rank call each."""
         r0 = self._rank_impl(subset)
-        out = subset
-        for e in bits(self.live & ~subset):
+        out = subset & within
+        for e in bits(within & ~subset):
             if self._rank_impl(subset | (1 << e)) == r0:
                 out |= 1 << e
         return out
+
+    def _extend_basis(self, base: int, scan: int, limit: int) -> int:
+        """The elements of `scan`, in index order, that each lie outside
+        the closure of `base` and of the ones taken before them, at most
+        `limit` of them; here by a rank call each.  With base empty and no
+        limit below r(scan), a basis of `scan`."""
+        taken = 0
+        r = self._rank_impl(base)
+        for e in bits(scan):
+            if not limit:
+                break
+            if self._rank_impl(base | taken | 1 << e) > r:
+                taken |= 1 << e
+                r += 1
+                limit -= 1
+        return taken
 
     def loops(self) -> int:
         return self.closure(0)
@@ -256,6 +277,11 @@ class Matroid:
                 if self.rank(flat | (1 << e)) < r:
                     flat = self.closure(flat | (1 << e))
                     break
+            else:
+                # a rank oracle obeying the axioms always has such an element
+                raise InternalContradiction(
+                    f"no element keeps the rank-{self.rank(flat)} flat 0x{flat:x} "
+                    f"below rank {r}")
         return flat
 
     def is_round(self) -> bool:
@@ -294,12 +320,13 @@ class LinearMatroid(Matroid):
     Over GF(2) they are reduced by xor against a basis of leading bits;
     over larger fields a basis row holds its pivot offset and its
     multiples by slot pattern, so a reduction step is one shift, one mask
-    and one slot-wise add.  closure(X) eliminates X once and keeps the
-    columns that reduce to zero against that basis.  The points of M/C
-    are the columns projected modulo span(C); the root projects all its
-    columns once (C empty, keyed by normal form), so points(within) on it
-    and on its restrictions is a lookup that makes no normal form or rank
-    call.
+    and one slot-wise add.  cl(X) & within eliminates X once and keeps
+    the columns of within - X that reduce to zero against that basis;
+    `_extend_basis` extends such a basis a column at a time.  The points
+    of M/C are the columns projected modulo span(C); the root projects all
+    its columns once (C empty, keyed by normal form), so points(within) on
+    it and on its restrictions is a lookup that makes no normal form or
+    rank call.
     """
 
     def __init__(self, fieldspec, columns):
@@ -401,18 +428,33 @@ class LinearMatroid(Matroid):
         (self._rank_gf2 if self._gf2 else self._rank_tables)(subset, basis)
         return basis
 
-    def _closure_impl(self, subset: int) -> int:
+    def _closure_impl(self, subset: int, within: int) -> int:
         basis = self._echelon(subset)
         residue = self._reduce_gf2 if self._gf2 else self._reduce_tables
         vectors = self._vecs
-        out = subset
-        s = self.live & ~subset
+        out = subset & within
+        s = within & ~subset
         while s:
             low = s & -s
             s ^= low
             if not residue(vectors[low.bit_length() - 1], basis):
                 out |= low
         return out
+
+    def _extend_basis(self, base: int, scan: int, limit: int) -> int:
+        # one echelon basis of `base`, extended a column at a time
+        rank = self._rank_gf2 if self._gf2 else self._rank_tables
+        basis = self._echelon(base)
+        n = len(basis)
+        taken = 0
+        while scan and limit:
+            low = scan & -scan
+            scan ^= low
+            if rank(low, basis) > n:
+                taken |= low
+                n += 1
+                limit -= 1
+        return taken
 
     def _points_impl(self, within: int) -> list:
         return self._cut_points(within)
@@ -519,7 +561,9 @@ class MinorView(Matroid):
 
     Nested views flatten, so contracting C1 and then C2 is literally the
     view with contract set C1 | C2; rank(X) = r_root(X | C) - r_root(C) and
-    cl(X) = cl_root(X | C) - C - D.  r_root(C) is taken when a rank is
+    cl(X) = cl_root(X | C) - C - D, asked of the root only at the view's
+    own elements (its `live`, or a caller's `within`), so a small view of
+    a big root scans few columns.  r_root(C) is taken when a rank is
     first asked for, unless the caller knows it: `rank_contract` is the
     rank of `contract` in `base` (the walk's depth).  Over a linear root a
     view without contraction reads the root's point classes, and a
@@ -550,9 +594,12 @@ class MinorView(Matroid):
     def _rank_impl(self, subset: int) -> int:
         return self.base._rank_impl(subset | self.contracted) - self._contract_rank()
 
-    def _closure_impl(self, subset: int) -> int:
-        # cl_{M/C}(X) = cl_M(X | C) - C, cut to the surviving elements
-        return self.base._closure_impl(subset | self.contracted) & self.live
+    def _closure_impl(self, subset: int, within: int) -> int:
+        # cl_{M/C}(X) = cl_M(X | C) - C; `within` holds no element of C or D
+        return self.base._closure_impl(subset | self.contracted, within)
+
+    def _extend_basis(self, base: int, scan: int, limit: int) -> int:
+        return self.base._extend_basis(base | self.contracted, scan, limit)
 
     def _points_impl(self, within: int) -> list:
         if not isinstance(self.base, LinearMatroid):

@@ -15,7 +15,7 @@ All density comparisons are exact: thresholds are Fractions, counts are ints.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitset import bits, lowest
+from .bitset import bits, lowest, popcount
 from .certificates import ContractionLine
 from .core import Matroid
 from .errors import (InternalContradiction, NoFreeElement, NoSuchFlat,
@@ -162,16 +162,28 @@ class GrowthPolicy:
 
 
 def _greedy_shrink(m: Matroid, subset: int, lam: Fraction, q: int) -> int:
-    """Drop least-index points while the density bound survives.  Each
-    candidate is a whole point P of M|subset, so eps(subset - P) is one
-    less than eps(subset): one point count per step."""
+    """Drop least-index points while the density bound survives.
+
+    A candidate is a whole point P of M|S, so eps(S - P) = eps(S) - 1 and
+    r(S - P) is r(S) or r(S) - 1: one point count and one rank per step.
+    Above lam q^r(S) the first point goes; at or below lam q^(r(S) - 1)
+    none can; in between, the first point whose removal drops the rank.
+    Such a point meets every basis of S, so only the points holding a
+    column of one basis of S are tested.
+    """
     while True:
         classes = m.points(subset)
         count = len(classes) - 1
+        r = m.rank(subset)
+        if count > lam * q ** r:
+            subset &= ~classes[0]
+            continue
+        if count * q <= lam * q ** r:
+            return subset
+        spanning = m._extend_basis(0, subset, r)
         for cls in classes:
-            smaller = subset & ~cls
-            if count > lam * q ** m.rank(smaller):
-                subset = smaller
+            if cls & spanning and m.rank(subset & ~cls) < r:
+                subset &= ~cls
                 break
         else:
             return subset
@@ -179,15 +191,15 @@ def _greedy_shrink(m: Matroid, subset: int, lam: Fraction, q: int) -> int:
 
 def _flat_avoiding(m: Matroid, e: int, target_rank: int) -> int:
     """Closure of the lexicographically first independent set of the given
-    rank whose closure avoids the non-loop e."""
+    rank whose closure avoids the non-loop e.  An element inside cl(I + e)
+    stays inside as I grows, so one scan in index order picks the same
+    elements: each one outside the span of e and the ones picked before it
+    (over a linear root, one echelon basis extended a column at a time).
+    The scan stops at the last pick, and I is closed once."""
     ebit = 1 << e
-    indep = 0
-    for _ in range(target_rank):
-        blocked = m.closure(indep | ebit)
-        candidates = m.live & ~blocked
-        if not candidates:
-            raise NoSuchFlat(f"no rank-{target_rank} flat avoids element {e}")
-        indep |= 1 << lowest(candidates)
+    indep = m._extend_basis(ebit, m.live, target_rank)
+    if popcount(indep) < target_rank:
+        raise NoSuchFlat(f"no rank-{target_rank} flat avoids element {e}")
     flat = m.closure(indep)
     if ebit & flat:
         raise InternalContradiction("constructed flat contains the avoided element")
@@ -260,8 +272,9 @@ def skew_dense_subset(matroid: Matroid, a: int, b: int,
 
     Mirrors the inductive argument: repeatedly contract elements of `b`
     outside the closure of the current set (these contractions change none
-    of the relevant ranks or point counts), then spend one connectivity unit
-    making the set skew to a single element of `b`.  The ambient matroid is
+    of the relevant ranks or point counts; each round tests only the
+    remaining elements of `b` against that closure), then spend one
+    connectivity unit making the set skew to a single element of `b`.  The ambient matroid is
     restricted to the working set plus that element for the single-element
     step.  The returned set's skewness and density are re-verified against
     the original matroid.
@@ -289,8 +302,7 @@ def skew_dense_subset(matroid: Matroid, a: int, b: int,
     while True:
         # contract the part of b lying outside the closure of the current set
         while True:
-            cl = current.closure(sub)
-            outside = rest & ~cl
+            outside = rest & ~current._closure_impl(sub, rest)
             picked = None
             for e in bits(outside):
                 if current.rank(1 << e) == 1:

@@ -15,6 +15,24 @@ def random_linear(q, rank, cols, seed):
                                 for _ in range(cols)])
 
 
+def messy_linear(i):
+    """Seeded GF(2), GF(3), GF(4) or GF(8) matrix of rank 2-4 with 6-10
+    columns: random ones plus a zero column, a repeated column and a
+    nonzero multiple of another column, in seeded order."""
+    rng = random.Random(7_300 + i)
+    q = (2, 3, 4, 8)[i % 4]
+    spec = field_make(q)
+    rank = rng.randint(2, 4)
+    cols = [tuple(rng.randrange(q) for _ in range(rank))
+            for _ in range(rng.randint(rank, 7))]
+    cols.append((0,) * rank)
+    cols.append(rng.choice(cols))
+    c = rng.randrange(1, q)
+    cols.append(tuple(spec.mul(c, a) for a in rng.choice(cols)))
+    rng.shuffle(cols)
+    return LinearMatroid(spec, cols)
+
+
 def skew_dense_instance(index):
     """A deterministic valid input for the skew dense-subset extraction:
     (matroid, a, b, target) with connectivity(a, b) <= target.k <= 2 and

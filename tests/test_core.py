@@ -4,6 +4,7 @@ import random
 import tracemalloc
 
 import pytest
+from conftest import messy_linear
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,8 +12,8 @@ from matroidlab import (DirectSum, ExplicitMatroid, LinearMatroid, MinorEmbeddin
                         Partition, UniformMatroid, bits, field_make, mask_of, pg,
                         popcount, verify_certificate)
 from matroidlab.bitset import spread
-from matroidlab.errors import (MalformedCertificate, OutOfRange, OverlapError,
-                               RankZero, SizeLimit)
+from matroidlab.errors import (InternalContradiction, MalformedCertificate,
+                               OutOfRange, OverlapError, RankZero, SizeLimit)
 
 
 def random_linear(q, rank, cols, seed):
@@ -365,24 +366,6 @@ def test_packed_kernel_matches_list_elimination(q):
 
 # -- linear fast paths against the generic rank-oracle routes -------------------
 
-def _messy_linear(i):
-    """Seeded GF(2), GF(3), GF(4) or GF(8) matrix of rank 2-4 with 6-10
-    columns: random ones plus a zero column, a repeated column and a
-    nonzero multiple of another column, in seeded order."""
-    rng = random.Random(7_300 + i)
-    q = (2, 3, 4, 8)[i % 4]
-    spec = field_make(q)
-    rank = rng.randint(2, 4)
-    cols = [tuple(rng.randrange(q) for _ in range(rank))
-            for _ in range(rng.randint(rank, 7))]
-    cols.append((0,) * rank)
-    cols.append(rng.choice(cols))
-    c = rng.randrange(1, q)
-    cols.append(tuple(spec.mul(c, a) for a in rng.choice(cols)))
-    rng.shuffle(cols)
-    return LinearMatroid(spec, cols)
-
-
 MESSY = [pytest.param(i, id=f"gf{(2, 3, 4, 8)[i % 4]}-{i}") for i in range(24)]
 
 
@@ -400,22 +383,83 @@ def _subsets(view, rng, count=12):
                              for _ in range(count)]
 
 
-@pytest.mark.parametrize("i", MESSY)
-def test_linear_closure_matches_generic_route(i):
+def _check_closure_within(view, rng):
+    """For every subset x: cl(x) & within from the view's own route, and
+    from the generic route given `within`, against the generic closure
+    over the whole ground set cut to `within`."""
     from matroidlab.core import Matroid
 
-    m = _messy_linear(i)
+    elems = list(bits(view.live))
+    masks = [view.live, 0] + _subsets(view, rng, count=3)[2:]
+    for x in range(1 << len(elems)):
+        x = spread(x, elems)
+        full = Matroid._closure_impl(view, x, view.live)
+        assert view.closure(x) == full
+        for within in masks:
+            assert view._closure_impl(x, within) == full & within
+            assert Matroid._closure_impl(view, x, within) == full & within
+
+
+@pytest.mark.parametrize("i", MESSY)
+def test_linear_closure_matches_generic_route(i):
+    m = messy_linear(i)
     rng = random.Random(i)
     for view in _views(m, rng):
-        for x in _subsets(view, rng):
-            assert view.closure(x) == Matroid._closure_impl(view, x)
+        _check_closure_within(view, rng)
+
+
+def test_closure_within_on_a_direct_sum_view():
+    m = DirectSum([UniformMatroid(2, 4), pg(3, 2), UniformMatroid(1, 2)])
+    _check_closure_within(m.minor(contract=1 << 5, delete=1 << 0 | 1 << 11),
+                          random.Random(5))
+
+
+@pytest.mark.parametrize("i", MESSY)
+def test_extend_basis_matches_generic_route(i):
+    # the greedy extension of a base set: one echelon basis extended a
+    # column at a time against a rank call per element; at every limit
+    from matroidlab.core import Matroid
+
+    m = messy_linear(i)
+    rng = random.Random(500 + i)
+    for view in _views(m, rng):
+        for base in _subsets(view, rng, count=4):
+            for scan in _subsets(view, rng, count=4):
+                for limit in range(view.rank_full + 1):
+                    want = Matroid._extend_basis(view, base, scan, limit)
+                    assert view._extend_basis(base, scan, limit) == want
+                    assert popcount(want) <= limit
+                    assert view.rank(base | want) == view.rank(base) + popcount(want)
+
+
+def test_view_closure_reduces_only_its_own_columns(monkeypatch):
+    # a view's closure tests its own elements, not every column of the root:
+    # the scan reduces one column per element of live - x (the echelon basis
+    # of x and the contract set reduces through _normal_tables, not counted)
+    from matroidlab.core import LinearMatroid
+
+    m = pg(4, 3)
+    calls = {"_reduce_tables": 0, "_normal_tables": 0}
+    for name in calls:
+        orig = getattr(LinearMatroid, name)
+
+        def counted(*args, name=name, orig=orig):
+            calls[name] += 1
+            return orig(*args)
+        monkeypatch.setattr(LinearMatroid, name, counted)
+    for view, x in [(m.restrict(mask_of(range(0, 40, 5))), 0b100001),
+                    (m.contract(1 << 2).restrict(mask_of(range(10, 19))), 1 << 11)]:
+        for key in calls:
+            calls[key] = 0
+        view.closure(x)
+        assert calls["_reduce_tables"] - calls["_normal_tables"] == popcount(view.live & ~x)
 
 
 @pytest.mark.parametrize("i", MESSY)
 def test_view_points_match_generic_route(i):
     from matroidlab.core import Matroid
 
-    m = _messy_linear(i)
+    m = messy_linear(i)
     rng = random.Random(100 + i)
     for view in _views(m, rng):
         assert view.points() == Matroid._points_impl(view, view.live)
@@ -434,7 +478,7 @@ def _cached_views(m, rng):
 
 
 @pytest.mark.parametrize("make", [
-    *(pytest.param(lambda i=i: _messy_linear(i), id=f"messy-{i}") for i in range(24)),
+    *(pytest.param(lambda i=i: messy_linear(i), id=f"messy-{i}") for i in range(24)),
     pytest.param(lambda: pg(4, 3), id="pg4q3"),
 ])
 def test_cached_points_match_generic_route(make):
@@ -478,7 +522,7 @@ def test_repeat_points_make_no_elimination(q, monkeypatch):
 def test_flats_of_rank_match_brute_force(i):
     from matroidlab.harness.oracles import to_explicit
 
-    m = _messy_linear(i)
+    m = messy_linear(i)
     for view in _views(m, random.Random(200 + i)):
         table = to_explicit(view)
         t = table.table
@@ -525,7 +569,7 @@ def _check_walk(m):
     for contract, closed, minor in contractions(m, m.rank_full):
         assert m.rank(contract) == popcount(contract)
         assert minor.rank_full == m.rank_full - popcount(contract)
-        assert closed == Matroid._closure_impl(m, contract) and closed not in seen
+        assert closed == Matroid._closure_impl(m, contract, m.live) and closed not in seen
         assert minor.live == m.live & ~contract
         assert minor.points() == Matroid._points_impl(minor, minor.live)
         seen.add(closed)
@@ -534,7 +578,7 @@ def _check_walk(m):
 
 @pytest.mark.parametrize("i", MESSY)
 def test_walk_matches_generic_routes(i):
-    m = _messy_linear(i)
+    m = messy_linear(i)
     for view in _views(m, random.Random(300 + i)):
         _check_walk(view)
 
@@ -552,6 +596,14 @@ def test_walk_matches_generic_routes_on_pg(n, q):
 ])
 def test_walk_matches_generic_routes_off_linear_roots(make):
     _check_walk(make())
+
+
+def test_extend_to_hyperplane_raises_on_an_inconsistent_table():
+    # every element alone has the full rank 3, so nothing extends the empty
+    # flat towards a hyperplane: a contradiction, not an endless loop
+    m = ExplicitMatroid(3, [0] + [3] * 7, verify=False)
+    with pytest.raises(InternalContradiction):
+        m._extend_to_hyperplane(0)
 
 
 def test_explicit_rejects_bad_table():
@@ -617,7 +669,7 @@ def test_roundness_matches_oracle_on_messy_views(i):
     # search on the packed kernels: verdicts agree, and each witness replays
     from matroidlab.harness.oracles import oracle_roundness
 
-    m = _messy_linear(i)
+    m = messy_linear(i)
     for view in _cached_views(m, random.Random(300 + i)):
         if view.rank_full == 0:
             with pytest.raises(RankZero):

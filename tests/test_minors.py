@@ -5,7 +5,7 @@ import random
 import time
 
 import pytest
-from conftest import random_linear
+from conftest import messy_linear, random_linear
 
 from matroidlab import (ABSENT, FOUND, UNKNOWN, LinearMatroid, UniformMatroid,
                         bits, find_pg_minor, find_pg_restriction, has_u2n_minor,
@@ -212,6 +212,22 @@ def test_minor_isomorphic_agrees_with_literal_oracle():
             assert (fast.status == FOUND) == slow, (host, target)
             if fast.status == FOUND:
                 assert verify_certificate(fast.certificate, host, target)
+
+
+@pytest.mark.parametrize("i", range(24))
+def test_minor_isomorphic_agrees_with_oracle_on_messy_matrices(i):
+    # loops, parallel pairs and scaled copies over GF(2), GF(3), GF(4) and
+    # GF(8), cut to the oracle's 8 elements; every search is exhaustive
+    from matroidlab.harness.oracles import oracle_minor_isomorphic
+
+    m = messy_linear(i)
+    host = m.restrict(mask_of(list(bits(m.live))[:8]))
+    for target in (UniformMatroid(2, 3), UniformMatroid(2, 4), UniformMatroid(3, 4)):
+        fast = minor_isomorphic(host, to_explicit(target))
+        assert fast.status in (FOUND, ABSENT)
+        assert (fast.status == FOUND) == oracle_minor_isomorphic(host, target)
+        if fast.status == FOUND:
+            assert verify_certificate(fast.certificate, host, target)
 
 
 def test_find_pg_restriction_in_nonsimple_host():

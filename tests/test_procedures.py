@@ -194,6 +194,25 @@ def _greedy_shrink_by_recount(m, subset, lam, q):
             return subset
 
 
+def test_greedy_shrink_matches_recount_on_generic_matroids():
+    # no linear root: the basis that names the candidate points comes from
+    # the generic rank-call route; every subset, at thresholds that land
+    # above, below and between lam q^(r-1) and lam q^r
+    ds = DirectSum([UniformMatroid(2, 4), UniformMatroid(1, 3), UniformMatroid(2, 3)])
+    cases = [(UniformMatroid(3, 6), 2), (ds, 2), (ds.restrict(0b1110111011), 2),
+             (ds.contract(0b1), 3)]
+    between = 0
+    for m, q in cases:
+        for lam in (Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(1)):
+            for s in range(1 << m.n):
+                s &= m.live
+                got = procedures._greedy_shrink(m, s, lam, q)
+                assert got == _greedy_shrink_by_recount(m, s, lam, q)
+                r = m.rank(s)
+                between += lam * q ** (r - 1) < m.epsilon(s) <= lam * q ** r
+    assert between
+
+
 def _skew_to_element_by_closure(m, subset, e, lam, q, l):
     """The single-element step closing w plus a representative of each
     point of scope/w to get the hyperplanes over w."""
@@ -230,14 +249,30 @@ def _skew_to_element_by_closure(m, subset, e, lam, q, l):
         return subset & best[1]
 
 
+def _flat_avoiding_by_closure(m, e, target_rank):
+    """The flat step closing I + e afresh before each pick."""
+    ebit = 1 << e
+    indep = 0
+    for _ in range(target_rank):
+        candidates = m.live & ~m.closure(indep | ebit)
+        if not candidates:
+            raise NoSuchFlat(f"no rank-{target_rank} flat avoids element {e}")
+        indep |= 1 << lowest(candidates)
+    return m.closure(indep)
+
+
 @pytest.mark.parametrize("name, reference", [
     ("_greedy_shrink", _greedy_shrink_by_recount),
     ("_skew_to_element", _skew_to_element_by_closure),
+    ("_flat_avoiding", _flat_avoiding_by_closure),
 ])
 def test_skew_dense_shortcuts_match_references(name, reference, monkeypatch):
-    # eps(S - P) = eps(S) - 1 for a point P of M|S, and the hyperplanes over
-    # the flat w are w | P for the points P of M/w: each shortcut, swapped
-    # back for the step it replaced, gives the same sets
+    # eps(S - P) = eps(S) - 1 for a point P of M|S, so only a point whose
+    # removal drops the rank (one holding a basis column) can decide a
+    # shrink step; the hyperplanes over the flat w are w | P for the points
+    # P of M/w; an element inside cl(I + e) stays inside as I grows, so one
+    # scan picks the flat's basis: each shortcut, swapped back for the step
+    # it replaced, gives the same sets
     want = _criterion_05_results()[:200]
     monkeypatch.setattr(procedures, name, reference)
     got = tuple(skew_dense_subset(*skew_dense_instance(i)) for i in range(200))

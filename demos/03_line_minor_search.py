@@ -8,11 +8,15 @@ certificate that replays against the original matroid.
 
 from matroidlab import (UniformMatroid, certificate_to_dict, has_u2n_minor,
                         max_line_minor, minor_isomorphic, pg,
-                        verify_certificate)
+                        subfield_subgeometry, verify_certificate)
 from matroidlab.harness.catalogs import fano_plus_point
 from matroidlab.harness.oracles import oracle_max_line, to_explicit
 
-for name, m in (("pg(3,2)", pg(3, 2)), ("pg(3,4)", pg(3, 4)),
+# over GF(q) the search ends at the first (q+1)-point line; the Fano plane
+# drawn inside PG(2,4) has only 3-point lines, so it is searched in full
+g = pg(3, 4)
+for name, m in (("pg(3,2)", pg(3, 2)), ("pg(3,4)", g),
+                ("Fano inside pg(3,4)", g.restrict(subfield_subgeometry(g, 1))),
                 ("U(3,6)", UniformMatroid(3, 6))):
     res = max_line_minor(m)
     print(f"{name}: longest line in any minor = {res.points} "

@@ -564,11 +564,11 @@ class MinorView(Matroid):
     cl(X) = cl_root(X | C) - C - D, asked of the root only at the view's
     own elements (its `live`, or a caller's `within`), so a small view of
     a big root scans few columns.  r_root(C) is taken when a rank is
-    first asked for, unless the caller knows it: `rank_contract` is the
-    rank of `contract` in `base` (the walk's depth).  Over a linear root a
-    view without contraction reads the root's point classes, and a
-    contraction projects its points modulo span(C) once
-    (`LinearMatroid._project`, given `parent`).
+    first asked for, unless C is empty or the caller knows it:
+    `rank_contract` is the rank of `contract` in `base` (the walk's
+    depth).  Over a linear root a view without contraction reads the
+    root's point classes, and a contraction projects its points modulo
+    span(C) once (`LinearMatroid._project`, given `parent`).
     """
 
     def __init__(self, base: Matroid, contract: int, delete: int, parent=None,
@@ -583,7 +583,7 @@ class MinorView(Matroid):
         self.contracted = contract
         self.deleted = delete
         self._init_ground(base.n, base.live & ~contract & ~delete)
-        self._rank_contract = rank_contract
+        self._rank_contract = rank_contract if contract else 0
         self._parent = parent
 
     def _contract_rank(self) -> int:
@@ -654,24 +654,38 @@ class DirectSum(Matroid):
 
 def contractions(matroid: Matroid, max_depth: int):
     """Yield (contract, closure, minor) in DFS preorder over contraction sets
-    of point representatives up to `max_depth` deep (depth = rank = size),
-    skipping sets whose closure was seen before: each flat of rank <=
-    max_depth is reached once.  The flats covering F are F | P for the
-    points P of M/F, so a child's closure is its parent's plus one class,
-    and its points are refined from its parent's when first asked for.
-    A node's children are built only when the caller resumes after it."""
-    root = matroid.closure(0)
-    visited = {root}
-    stack = [(0, root, 0, None)]  # (contract, closure, depth, parent)
+    of point representatives up to `max_depth` deep (depth = rank = size):
+    each flat of rank <= max_depth is reached once, through its greedy
+    basis (the lex-first one, element by element).  The flats covering F
+    are F | P for the points P of M/F, so a child's closure is its
+    parent's plus one class, and its points are refined from its parent's
+    when first asked for.  A node's children are built only when the
+    caller resumes after it.
+
+    No set of visited flats is kept: a node C = b1 < ... < bk is extended
+    only by the classes P of M/cl(C) with min P > bk (reverse search with
+    the greedy basis as canonical parent, Avis & Fukuda 1996).  If C is
+    the greedy basis of F and min P > bk, the greedy basis of F | P is
+    C + min P: every element of F | P below min P lies in F, where the
+    greedy scan takes b1..bk, and min P is outside F.  Conversely, if
+    b1 < ... < bk+1 is the greedy basis of F', dropping bk+1 leaves the
+    greedy basis of F = cl(b1..bk), and bk+1 is the least element of its
+    class of M/F, since every element of F' below bk+1 lies in F.
+    So each flat has exactly one parent, the flat of its greedy basis
+    minus its last element.  Children are pushed by least element, so
+    preorder is lex order on the sorted contract sets; the greedy basis is
+    the lex-least walk sequence of its flat, so its parent is expanded
+    first, and a walk that marks flats as seen has the same tree and the
+    same yield order."""
+    stack = [(0, matroid.closure(0), 0, None)]  # (contract, closure, depth, parent)
     while stack:
         contract, closed, depth, parent = stack.pop()
         minor = MinorView(matroid, contract, 0, parent, depth)
         yield contract, closed, minor
         if depth < max_depth:
             keyed = minor._keyed_points()
-            children = []
-            for key, c in keyed.items():
-                if closed | c not in visited:
-                    visited.add(closed | c)
-                    children.append((contract | c & -c, closed | c, depth + 1, (keyed, key)))
+            # a class's least element is above max(contract) iff its lowest
+            # bit, a power of two, exceeds contract
+            children = [(contract | low, closed | c, depth + 1, (keyed, key))
+                        for key, c in keyed.items() if (low := c & -c) > contract]
             stack.extend(reversed(children))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .. import __version__
 from ..bitset import popcount
 from ..geometry import geometric_series_sum, is_projective_geometry
-from ..minors import max_line_minor
+from ..minors import max_line_minor, root_field_order
 from ..procedures import largest_prime_power_leq
 from .catalogs import Catalog
 
@@ -68,8 +68,9 @@ class CensusReport:
 
 
 def _membership(matroid, l: int, max_nodes: int | None):
-    """Three-valued membership in the no-(l+2)-point-line class, via
-    exhaustive line-minor search: (status, max_line or None, nodes)."""
+    """Three-valued membership in the no-(l+2)-point-line class, via the
+    line-minor search, which ends at the first (l+2)-point line or at the
+    field bound of a GF(q') member: (status, max_line or None, nodes)."""
     if matroid.rank_full < 2:
         return "in-class", 1, 0
     res = max_line_minor(matroid, max_nodes, stop_at=l + 2)
@@ -183,8 +184,14 @@ def density_profile(catalog: Catalog, l: int,
         if status != "in-class":
             return
         rec["status"] = "profiled"
-        rec["membership"] = {"kind": "exhaustive-search", "nodes": nodes,
-                             "max_line": maxline}
+        # a GF(q') member whose longest line has q' + 1 points was settled by
+        # the field bound, which ended the search there
+        field_q = root_field_order(m)
+        if field_q is not None and maxline == field_q + 1:
+            kind = {"kind": "field-bound", "q": field_q}
+        else:
+            kind = {"kind": "exhaustive-search"}
+        rec["membership"] = {**kind, "nodes": nodes, "max_line": maxline}
         r = m.rank_full
         cur = by_rank.get(r)
         if cur is None or m.epsilon() > cur["max_epsilon"]:

@@ -5,14 +5,16 @@ Searches loop over `core.contractions`: one contraction set of point
 representatives per flat, since parallel elements and equal closures give
 minors with the same point structure.  Searches are exhaustive unless given
 a node cap `max_nodes`, and a search that runs out of nodes reports
-`unknown`, never a silent "no".
+`unknown`, never a silent "no".  Over a linear root the line search also
+ends at the field bound (see `root_field_order`).
 """
 
 from dataclasses import dataclass
 
 from .bitset import bits, lowest, mask_of, popcount, spread
 from .certificates import ContractionLine, MinorEmbedding
-from .core import ExplicitMatroid, Matroid, contractions
+from .core import (ExplicitMatroid, LinearMatroid, Matroid, MinorView,
+                   contractions)
 from .errors import (BudgetExceeded, PreconditionFailed, RankTooSmall,
                      SizeLimit, TargetTooLarge)
 from .geometry import is_projective_geometry, pg, theta
@@ -62,6 +64,16 @@ class _Nodes:
         return self.cap is not None and self.count > self.cap
 
 
+def root_field_order(matroid: Matroid) -> int | None:
+    """q of GF(q) when `matroid` is a LinearMatroid or a view of one (its
+    `.base`), else None.  Every minor of a GF(q) matrix is GF(q)-
+    representable and U(2, n) is only for n <= q + 1 (Oxley, Matroid
+    Theory), so no line of a minor of such a root has more than q + 1
+    points."""
+    root = matroid.base if isinstance(matroid, MinorView) else matroid
+    return root.field.q if isinstance(root, LinearMatroid) else None
+
+
 def max_line_minor(matroid: Matroid, max_nodes: int | None = None,
                    stop_at: int | None = None) -> LineMinorResult:
     """Largest point count of a line in any minor of `matroid`.
@@ -75,16 +87,24 @@ def max_line_minor(matroid: Matroid, max_nodes: int | None = None,
     contract set of r - 2 elements, with the whole surviving ground set as
     the line.  `stop_at` ends the search at the first leaf with at least
     that many points (the result is then exact as a lower bound >= stop_at).
+    Over a GF(q) root (`root_field_order`) the search also ends, exact, at
+    the first leaf with q + 1 points: no leaf can beat it, so it is the
+    first maximal leaf and `points` and the certificate are those of the
+    full walk.
 
     `nodes` counts the contraction sets visited, a refused one included.
-    Run to completion, the search visits one set per flat of rank <= r - 2
-    (the set's closure), so `nodes` is the number of those flats; a search
-    cut by `max_nodes=c` reports c + 1 and is inexact, and its `points` is
-    the best over the leaves reached (0, with no certificate, if c < r - 1).
+    The walk visits one set per flat of rank <= r - 2 (the set's closure),
+    so a search that neither the field bound nor `stop_at` ends reports
+    the number of those flats; a search cut by `max_nodes=c` reports
+    c + 1 and is inexact, and its `points` is the best over the leaves
+    reached (0, with no certificate, if c < r - 1).
     """
     r = matroid.rank_full
     if r < 2:
         raise RankTooSmall(f"need rank >= 2, got {r}")
+    q = root_field_order(matroid)
+    if q is not None and (stop_at is None or stop_at > q + 1):
+        stop_at = q + 1
     nodes = _Nodes(max_nodes)
     best, best_cert = 0, None
     for contract, _, minor in contractions(matroid, r - 2):

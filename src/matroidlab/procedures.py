@@ -446,7 +446,7 @@ def round_dense_restriction(matroid: Matroid, q: int, t: int,
             claims["certificate"] = outcome.certificate
         elif outcome.status == ABSENT:
             raise InternalContradiction(
-                "density witness contradicts exhaustive line-minor search")
+                "density witness contradicts a decided line-minor search")
     return RoundDenseOutcome("density-witness", subset, claims)
 
 

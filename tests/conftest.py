@@ -33,6 +33,14 @@ def messy_linear(i):
     return LinearMatroid(spec, cols)
 
 
+def minor_views(m, rng):
+    """A contraction, a deletion, a minor and a view of a view (which
+    flattens into one contract and delete set), after the matroid itself."""
+    a, b, c, d, e = (1 << p for p in rng.sample(list(bits(m.live)), 5))
+    return [m, m.contract(a | b), m.delete(c | d), m.minor(a | b, c | d),
+            m.contract(e).minor(a, c)]
+
+
 def skew_dense_instance(index):
     """A deterministic valid input for the skew dense-subset extraction:
     (matroid, a, b, target) with connectivity(a, b) <= target.k <= 2 and

@@ -4,7 +4,7 @@ import random
 import tracemalloc
 
 import pytest
-from conftest import messy_linear
+from conftest import messy_linear, minor_views
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -369,14 +369,6 @@ def test_packed_kernel_matches_list_elimination(q):
 MESSY = [pytest.param(i, id=f"gf{(2, 3, 4, 8)[i % 4]}-{i}") for i in range(24)]
 
 
-def _views(m, rng):
-    """A contraction, a deletion, a minor and a view of a view (which
-    flattens into one contract and delete set), after the matroid itself."""
-    a, b, c, d, e = (1 << p for p in rng.sample(list(bits(m.live)), 5))
-    return [m, m.contract(a | b), m.delete(c | d), m.minor(a | b, c | d),
-            m.contract(e).minor(a, c)]
-
-
 def _subsets(view, rng, count=12):
     elems = list(bits(view.live))
     return [0, view.live] + [mask_of(e for e in elems if rng.random() < 0.4)
@@ -404,7 +396,7 @@ def _check_closure_within(view, rng):
 def test_linear_closure_matches_generic_route(i):
     m = messy_linear(i)
     rng = random.Random(i)
-    for view in _views(m, rng):
+    for view in minor_views(m, rng):
         _check_closure_within(view, rng)
 
 
@@ -422,7 +414,7 @@ def test_extend_basis_matches_generic_route(i):
 
     m = messy_linear(i)
     rng = random.Random(500 + i)
-    for view in _views(m, rng):
+    for view in minor_views(m, rng):
         for base in _subsets(view, rng, count=4):
             for scan in _subsets(view, rng, count=4):
                 for limit in range(view.rank_full + 1):
@@ -461,7 +453,7 @@ def test_view_points_match_generic_route(i):
 
     m = messy_linear(i)
     rng = random.Random(100 + i)
-    for view in _views(m, rng):
+    for view in minor_views(m, rng):
         assert view.points() == Matroid._points_impl(view, view.live)
         for w in _subsets(view, rng):
             assert view.points(w) == Matroid._points_impl(view, w)
@@ -523,7 +515,7 @@ def test_flats_of_rank_match_brute_force(i):
     from matroidlab.harness.oracles import to_explicit
 
     m = messy_linear(i)
-    for view in _views(m, random.Random(200 + i)):
+    for view in minor_views(m, random.Random(200 + i)):
         table = to_explicit(view)
         t = table.table
         elems = list(bits(view.live))
@@ -579,13 +571,71 @@ def _check_walk(m):
 @pytest.mark.parametrize("i", MESSY)
 def test_walk_matches_generic_routes(i):
     m = messy_linear(i)
-    for view in _views(m, random.Random(300 + i)):
+    for view in minor_views(m, random.Random(300 + i)):
         _check_walk(view)
 
 
 @pytest.mark.parametrize("n, q", [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)])
 def test_walk_matches_generic_routes_on_pg(n, q):
     _check_walk(pg(n, q))
+
+
+def _visited_set_walk(m):
+    """The walk as a search with a set of visited flats: every class of
+    M/C spawns a child unless its closure was reached before.  Returns the
+    (contract, closure) sequence of a full-depth walk."""
+    from matroidlab.core import MinorView
+
+    root = m.closure(0)
+    visited = {root}
+    stack = [(0, root, 0, None)]
+    out = []
+    while stack:
+        contract, closed, depth, parent = stack.pop()
+        out.append((contract, closed))
+        if depth < m.rank_full:
+            keyed = MinorView(m, contract, 0, parent, depth)._keyed_points()
+            children = []
+            for key, c in keyed.items():
+                if closed | c not in visited:
+                    visited.add(closed | c)
+                    children.append((contract | c & -c, closed | c, depth + 1,
+                                     (keyed, key)))
+            stack.extend(reversed(children))
+    return out
+
+
+def _greedy_basis(m, flat):
+    basis = 0
+    for e in bits(flat):
+        if m.rank(basis | 1 << e) > popcount(basis):
+            basis |= 1 << e
+    return basis
+
+
+def _check_canonical_walk(m):
+    from matroidlab.core import contractions
+
+    walk = [(contract, closed)
+            for contract, closed, _ in contractions(m, m.rank_full)]
+    assert walk == _visited_set_walk(m)
+    return walk
+
+
+@pytest.mark.parametrize("i", MESSY)
+def test_walk_without_visited_set_matches_visited_set_walk(i):
+    # every contract set is the greedy basis of its flat, and the sequence is
+    # the one a walk keeping every flat it reached would yield
+    m = messy_linear(i)
+    for view in minor_views(m, random.Random(300 + i)):
+        for contract, closed in _check_canonical_walk(view):
+            assert contract == _greedy_basis(view, closed)
+
+
+@pytest.mark.parametrize("make", [lambda: pg(5, 3), lambda: pg(6, 2),
+                                  lambda: UniformMatroid(4, 8)])
+def test_walk_without_visited_set_matches_on_large_roots(make):
+    _check_canonical_walk(make())
 
 
 @pytest.mark.parametrize("make", [

@@ -213,6 +213,29 @@ def test_density_profile_pg32_restrictions():
     assert report.unknowns == 0
 
 
+def test_density_profile_labels_field_bound_membership():
+    # binary members at l = 2: no minor of a GF(2) matrix has a 4-point
+    # line, so a search that reaches a 3-point line ends there, and the
+    # record names the field bound instead of an exhaustive search
+    catalog = cat.registry_catalog("pg3q2-restrictions")
+    members = {m.key: m.matroid for m in catalog.members}
+    report = density_profile(catalog, 2)
+    kinds = set()
+    for rec in report.records:
+        ms = rec["membership"]
+        kinds.add(ms["kind"])
+        if rec["max_line"] == 3:
+            assert ms == {"kind": "field-bound", "q": 2, "nodes": ms["nodes"],
+                          "max_line": 3}
+        else:
+            assert ms["kind"] == "exhaustive-search" and "q" not in ms
+            m = members[rec["key"]]
+            if m.rank_full >= 2:
+                assert ms["nodes"] == sum(len(m.flats_of_rank(k))
+                                          for k in range(m.rank_full - 1))
+    assert kinds == {"field-bound", "exhaustive-search"}
+
+
 def test_extremal_census_pg42_variants():
     m = pg(4, 2)
     members = [cat.CatalogMember("full", m)]

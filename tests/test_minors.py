@@ -5,12 +5,12 @@ import random
 import time
 
 import pytest
-from conftest import messy_linear, random_linear
+from conftest import messy_linear, minor_views, random_linear
 
 from matroidlab import (ABSENT, FOUND, UNKNOWN, LinearMatroid, UniformMatroid,
-                        bits, find_pg_minor, find_pg_restriction, has_u2n_minor,
-                        mask_of, max_line_minor, minor_isomorphic, pg, popcount,
-                        subfield_subgeometry, verify_certificate)
+                        bits, field_make, find_pg_minor, find_pg_restriction,
+                        has_u2n_minor, mask_of, max_line_minor, minor_isomorphic,
+                        pg, popcount, subfield_subgeometry, verify_certificate)
 from matroidlab.errors import RankTooSmall, SizeLimit, TargetTooLarge
 from matroidlab.harness.catalogs import fano_plus_point
 from matroidlab.harness.oracles import oracle_max_line, oracle_u2n, to_explicit
@@ -23,18 +23,34 @@ def test_max_line_fano():
     assert oracle_max_line(pg(3, 2)) == 3
 
 
+def _prime_subgeometry(n, q):
+    """PG(n-1, p) inside pg(n, q), q = p^k > p, as a restriction of the
+    GF(q) matrix: its lines have p + 1 points, below the field bound
+    q + 1, so the bound does not end its line search."""
+    m = pg(n, q)
+    return m.restrict(subfield_subgeometry(m, 1))
+
+
 def test_max_line_pg34_pins_its_counts():
-    # one node per flat of rank <= 2: 1 + 85 points + 357 lines
+    # the field bound ends the search at the first 5-point leaf: the root,
+    # one point and one line
     m = pg(4, 4)
     res = max_line_minor(m)
-    assert (res.points, res.nodes, res.exact) == (5, 443, True)
+    assert (res.points, res.nodes, res.exact) == (5, 3, True)
     assert verify_certificate(res.certificate, m)
     assert verify_certificate(res.certificate, pg(4, 4))
+    # PG(3,2) over GF(4) is searched exhaustively: one node per flat of
+    # rank <= 2, 1 + 15 points + 35 lines
+    sub = _prime_subgeometry(4, 4)
+    res = max_line_minor(sub)
+    assert (res.points, res.nodes, res.exact) == (3, 51, True)
+    assert verify_certificate(res.certificate, sub)
 
 
 def test_max_line_walk_ranks_only_the_root(monkeypatch):
     # a walk node's contract set is independent, so its corank is r - |C|:
-    # the search takes r(M) once and no view ranks its contract set
+    # the search takes r(M) once and no view ranks its contract set, on a
+    # search the field bound ends and on an exhaustive one
     calls = []
     rank_impl = LinearMatroid._rank_impl
 
@@ -42,11 +58,13 @@ def test_max_line_walk_ranks_only_the_root(monkeypatch):
         calls.append(subset)
         return rank_impl(self, subset)
 
-    monkeypatch.setattr(LinearMatroid, "_rank_impl", counted)
-    m = pg(4, 4)
-    res = max_line_minor(m)
-    assert (res.points, res.nodes, res.exact) == (5, 443, True)
-    assert calls == [m.live]
+    for m, nodes in [(pg(4, 4), 3), (_prime_subgeometry(4, 4), 51)]:
+        calls.clear()
+        monkeypatch.setattr(LinearMatroid, "_rank_impl", counted)
+        res = max_line_minor(m)
+        monkeypatch.undo()
+        assert (res.nodes, res.exact) == (nodes, True)
+        assert calls == [m.live]
 
 
 def test_max_line_u36():
@@ -128,6 +146,47 @@ def test_max_line_agrees_with_oracle(make, expect):
     if expect is not None:
         assert res.points == expect
     assert verify_certificate(res.certificate, m)
+
+
+def _binary_entries(i):
+    """Seeded GF(4) or GF(8) matrix of rank 3-4 with at most 10 columns, two
+    of them unit vectors, whose entries all lie in GF(2): a binary matroid
+    over a larger field, so its lines stay below the field bound q + 1."""
+    rng = random.Random(8_200 + i)
+    q = (4, 8)[i % 2]
+    rank = rng.randint(3, 4)
+    cols = [tuple(rng.randrange(2) for _ in range(rank))
+            for _ in range(rng.randint(rank - 1, 8))]
+    cols += [(1, 0) + (0,) * (rank - 2), (0, 1) + (0,) * (rank - 2)]
+    rng.shuffle(cols)
+    return LinearMatroid(field_make(q), cols)
+
+
+def _check_bounded_search(m, q):
+    # the answer and certificate of the exhaustive walk; the field bound
+    # only cuts `nodes`, and only when the answer reaches q + 1
+    res = max_line_minor(m)
+    assert res.exact and res.points == oracle_max_line(m)
+    assert verify_certificate(res.certificate, m)
+    flats = _flats_up_to(m, m.rank_full - 2)
+    assert res.nodes <= flats
+    if res.points < q + 1:
+        assert res.nodes == flats
+    return res.points == q + 1
+
+
+@pytest.mark.parametrize("i", range(24))
+def test_bounded_search_agrees_with_oracle_on_messy_views(i):
+    m = messy_linear(i)
+    for view in minor_views(m, random.Random(400 + i)):
+        if view.rank_full >= 2:
+            _check_bounded_search(view, m.field.q)
+
+
+@pytest.mark.parametrize("i", range(12))
+def test_bounded_search_agrees_with_oracle_on_binary_entries(i):
+    m = _binary_entries(i)
+    assert not _check_bounded_search(m, m.field.q)
 
 
 def test_oracle_u2n_agrees_on_catalog():
@@ -310,16 +369,37 @@ def _flats_up_to(m, top):
     return sum(len(m.flats_of_rank(k)) for k in range(top + 1))
 
 
-@pytest.mark.parametrize("m, want", [(pg(3, 2), 8), (pg(4, 2), 51), (pg(3, 3), 14),
+@pytest.mark.parametrize("m, want", [(_prime_subgeometry(3, 4), 8),
+                                     (_prime_subgeometry(4, 4), 51),
+                                     (_prime_subgeometry(3, 9), 14),
                                      (UniformMatroid(4, 8), 37)])
 def test_nodes_count_flats_of_corank_two_and_up(m, want):
-    # one visited contraction set per flat of rank <= r - 2 (its closure)
+    # PG(2,2) and PG(3,2) over GF(4), PG(2,3) over GF(9) and U(4,8): no
+    # field bound ends these searches, so they visit one contraction set
+    # per flat of rank <= r - 2 (its closure)
     res = max_line_minor(m)
     assert res.exact and res.nodes == _flats_up_to(m, m.rank_full - 2) == want
     # the certificate is a corank-2 leaf: its whole surviving ground set
     cert = res.certificate
     assert m.rank(cert.contract) == m.rank_full - 2
     assert cert.line == m.live & ~cert.contract
+
+
+@pytest.mark.parametrize("n, q, points, nodes", [(3, 2, 3, 2), (4, 2, 3, 3),
+                                                 (3, 3, 4, 2)])
+def test_field_bound_ends_the_search_on_pg(n, q, points, nodes):
+    # the first leaf, one contraction chain deep, already has q + 1 points
+    m = pg(n, q)
+    res = max_line_minor(m)
+    assert (res.points, res.nodes, res.exact) == (points, nodes, True)
+    assert verify_certificate(res.certificate, m)
+
+
+def test_has_u2n_absent_by_field_bound():
+    # no minor of a GF(2) matrix has a 4-point line: the search ends at the
+    # first 3-point line, after the root and a chain of four points
+    out = has_u2n_minor(pg(6, 2), 4)
+    assert (out.status, out.nodes) == (ABSENT, 5)
 
 
 @pytest.mark.parametrize("m, want", [(pg(3, 2), 1), (pg(4, 2), 16),
@@ -332,5 +412,12 @@ def test_pg_minor_absent_nodes_count_flats(m, want):
 
 @pytest.mark.parametrize("cap", [0, 1, 2, 7])
 def test_node_cap_reports_the_refused_node(cap):
-    res = max_line_minor(pg(4, 2), max_nodes=cap)
+    # PG(3,2) over GF(4) takes 51 nodes, so every cap here refuses one
+    res = max_line_minor(_prime_subgeometry(4, 4), max_nodes=cap)
     assert res.nodes == cap + 1 and res.exact is False
+    # over GF(2) the field bound ends the search at its third node
+    res = max_line_minor(pg(4, 2), max_nodes=cap)
+    if cap < 3:
+        assert res.nodes == cap + 1 and res.exact is False
+    else:
+        assert (res.points, res.nodes, res.exact) == (3, 3, True)

@@ -47,14 +47,6 @@ def lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def is_subset(a: int, b: int) -> bool:
-    return not (a & ~b)
-
-
-def to_list(mask: int) -> list:
-    return list(bits(mask))
-
-
 def check_ground_size(n: int):
     if n > MAX_GROUND:
         raise SizeLimit(f"ground set of {n} elements exceeds the cap of {MAX_GROUND}")

@@ -10,6 +10,10 @@ from dataclasses import dataclass
 from .bitset import MAX_GROUND, bits, mask_of, popcount, spread
 from .errors import MalformedCertificate
 
+# the largest target, in elements, of a minor embedding: a search or a
+# replay checks the ranks of all 2^size subsets of the target
+MAX_EMBED_TARGET = 9
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -25,9 +29,6 @@ class HyperplanePairCover:
 
     hyperplane_a: int
     hyperplane_b: int
-
-    def to_partition(self, matroid) -> Partition:
-        return Partition(self.hyperplane_a, matroid.live & ~self.hyperplane_a)
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,8 @@ def verify_certificate(cert, matroid, target=None) -> bool:
             if not cert.target:
                 raise MalformedCertificate("embedding certificate needs a target matroid")
             target = target_from_descriptor(cert.target)
+        _require(target.size <= MAX_EMBED_TARGET,
+                 f"target has {target.size} elements, cap is {MAX_EMBED_TARGET}")
         telems = list(bits(target.live))
         _require(len(cert.mapping) == len(telems), "mapping size differs from target size")
         image = _mask(cert.mapping)

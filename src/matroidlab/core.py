@@ -218,8 +218,12 @@ class Matroid:
         flats, and a proper flat extends to a rank-(r-1) flat by adding
         elements while the rank stays below r; conversely a covering pair
         (H1, H2) yields the split (H1, E - H1) with both ranks below r.
-        The search grows two closed cells, branching on the first element
-        not yet covered; a cell that would reach full rank is pruned.
+        The search grows two closed cells, A and B, branching on the least
+        element e not yet covered: e joins A first, and joins B only once
+        that subtree has failed; a cell that would reach full rank is
+        pruned.  It is one loop over a stack of entries (A, B, e): e = 0
+        marks a node to expand, e a single bit the deferred branch that
+        puts e into B.
         """
         if self._roundness is not None:
             return self._roundness
@@ -227,41 +231,34 @@ class Matroid:
         if r == 0:
             raise RankZero("roundness is undefined at rank 0")
         live = self.live
-        visited = set()
-
-        def grow(cell: int, e: int) -> int | None:
-            cand = cell | (1 << e)
-            if self.rank(cand) >= r:
-                return None
-            return self.closure(cand)
-
-        def search(side_a: int, side_b: int):
-            uncovered = live & ~(side_a | side_b)
-            if not uncovered:
-                return side_a, side_b
-            key = (side_a, side_b) if side_a <= side_b else (side_b, side_a)
-            if key in visited:
-                return None
-            visited.add(key)
-            e = lowest(uncovered)
-            for cell, other, flip in ((side_a, side_b, False), (side_b, side_a, True)):
-                grown = grow(cell, e)
-                if grown is None:
-                    continue
-                found = search(grown, other) if not flip else search(other, grown)
-                if found:
-                    return found
-            return None
-
         loops = self.closure(0)
         first = live & ~loops
         if not first:
             # cannot happen at rank >= 1
             raise RankZero("no non-loop elements")
         # the first non-loop goes to side A; sides are symmetric
-        start = self.closure(1 << lowest(first))
-        hit = search(start, loops) if self.rank(start) < r else None
-        del search  # it refers to itself; the cycle would hold self until a gc pass
+        start = self.closure(first & -first)
+        stack = [(start, loops, 0)] if self.rank(start) < r else []
+        visited = set()
+        hit = None
+        while stack:
+            a, b, e = stack.pop()
+            if e:
+                if self.rank(b | e) < r:
+                    stack.append((a, self.closure(b | e), 0))
+                continue
+            uncovered = live & ~(a | b)
+            if not uncovered:
+                hit = a, b
+                break
+            key = (a, b) if a <= b else (b, a)
+            if key in visited:
+                continue
+            visited.add(key)
+            e = uncovered & -uncovered
+            stack.append((a, b, e))
+            if self.rank(a | e) < r:
+                stack.append((self.closure(a | e), b, 0))
         if hit is None:
             self._roundness = (True, None)
         else:
@@ -271,17 +268,22 @@ class Matroid:
         return self._roundness
 
     def _extend_to_hyperplane(self, flat: int) -> int:
+        """The rank-(r-1) flat reached from the flat `flat` by adding the
+        least element outside it and closing, until the rank is r - 1.
+        Below rank r - 1 every element keeps the rank below r, so that is
+        cl(flat + I) for I the greedy extension of `flat` by r - 1 - r(flat)
+        elements."""
         r = self.rank_full
-        while self.rank(flat) < r - 1:
-            for e in bits(self.live & ~flat):
-                if self.rank(flat | (1 << e)) < r:
-                    flat = self.closure(flat | (1 << e))
-                    break
-            else:
-                # a rank oracle obeying the axioms always has such an element
-                raise InternalContradiction(
-                    f"no element keeps the rank-{self.rank(flat)} flat 0x{flat:x} "
-                    f"below rank {r}")
+        k = self.rank(flat)
+        if k < r - 1:
+            extra = self._extend_basis(flat, self.live & ~flat, r - 1 - k)
+            flat = self.closure(flat | extra)
+            k = self.rank(flat)
+        if k != r - 1:
+            # a rank oracle obeying the axioms always reaches rank r - 1
+            raise InternalContradiction(
+                f"extending to a hyperplane gave the rank-{k} flat 0x{flat:x}, "
+                f"not rank {r - 1}")
         return flat
 
     def is_round(self) -> bool:

@@ -142,9 +142,6 @@ class FieldSpec:
     def add(self, a, b):
         return self.add_flat[a * self.q + b]
 
-    def sub(self, a, b):
-        return self.add_flat[a * self.q + self.neg[b]]
-
     def mul(self, a, b):
         return self.mul_flat[a * self.q + b]
 

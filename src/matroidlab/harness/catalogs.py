@@ -188,7 +188,7 @@ def _iso_reduce(members):
     return kept
 
 
-def build_catalog(spec: dict, spot_check: bool = True) -> Catalog:
+def build_catalog(spec: dict) -> Catalog:
     kind = spec.get("kind")
     if kind == "pg-restrictions":
         members = _pg_restriction_members(
@@ -207,9 +207,8 @@ def build_catalog(spec: dict, spot_check: bool = True) -> Catalog:
         raise ConfigError(f"unknown catalog kind {kind!r}")
     if spec.get("iso_reduce"):
         members = _iso_reduce(members)
-    if spot_check:
-        for member in members[:64]:
-            oracle_rank_axioms_sampled(member.matroid, samples=50, seed=1)
+    for member in members[:64]:
+        oracle_rank_axioms_sampled(member.matroid, samples=50, seed=1)
     return Catalog(name, spec, members)
 
 

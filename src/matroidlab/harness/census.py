@@ -184,10 +184,13 @@ def density_profile(catalog: Catalog, l: int,
         if status != "in-class":
             return
         rec["status"] = "profiled"
-        # a GF(q') member whose longest line has q' + 1 points was settled by
-        # the field bound, which ended the search there
+        # a member of rank < 2 is settled with no search; a GF(q') member
+        # whose longest line has q' + 1 points by the field bound, which
+        # ended the search there
         field_q = root_field_order(m)
-        if field_q is not None and maxline == field_q + 1:
+        if m.rank_full < 2:
+            kind = {"kind": "rank-below-2"}
+        elif field_q is not None and maxline == field_q + 1:
             kind = {"kind": "field-bound", "q": field_q}
         else:
             kind = {"kind": "exhaustive-search"}

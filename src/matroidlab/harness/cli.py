@@ -24,12 +24,13 @@ from ..procedures import (DensityTarget, GrowthPolicy, gap_check,
                           skew_dense_subset)
 from . import catalogs as catmod
 from .census import check_kung_bound, density_profile, extremal_census
-from .oracles import to_explicit
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
+
+FORMATS = ("text", "json", "csv")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,7 +43,7 @@ class _UsageError(Exception):
 
 
 def _read_config(path):
-    """Key=value config; unknown keys are rejected."""
+    """Key=value config; unknown keys and formats are rejected."""
     allowed = {"cache_dir", "budget", "seed", "format"}
     out = {}
     with open(path) as fh:
@@ -55,6 +56,9 @@ def _read_config(path):
             key, val = (t.strip() for t in line.split("=", 1))
             if key not in allowed:
                 raise _UsageError(f"{path}:{i}: unknown config key {key!r}")
+            if key == "format" and val not in FORMATS:
+                raise _UsageError(f"{path}:{i}: format {val!r} is not one of "
+                                  f"{', '.join(FORMATS)}")
             out[key] = val
     return out
 
@@ -117,7 +121,7 @@ def _report_out(args, report):
 
 def build_parser():
     p = _Parser(prog="matroidlab", description=__doc__)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--format", choices=FORMATS, default="text")
     p.add_argument("--budget", type=int, default=None,
                    help="node cap for minor searches")
     p.add_argument("--seed", type=int, default=None,
@@ -236,8 +240,7 @@ def _cmd(args):
         if target.rank_full == 2 and target.is_simple():
             outcome = has_u2n_minor(m, target.size, args.budget)
         else:
-            outcome = minor_isomorphic(m, to_explicit(target), args.budget,
-                                       target_name=tname)
+            outcome = minor_isomorphic(m, target, args.budget, target_name=tname)
         payload = {"status": outcome.status, "nodes": outcome.nodes}
         lines = [outcome.status]
         if outcome.status == FOUND:

@@ -12,9 +12,8 @@ ends at the field bound (see `root_field_order`).
 from dataclasses import dataclass
 
 from .bitset import bits, lowest, mask_of, popcount, spread
-from .certificates import ContractionLine, MinorEmbedding
-from .core import (ExplicitMatroid, LinearMatroid, Matroid, MinorView,
-                   contractions)
+from .certificates import MAX_EMBED_TARGET, ContractionLine, MinorEmbedding
+from .core import LinearMatroid, Matroid, MinorView, contractions
 from .errors import (BudgetExceeded, PreconditionFailed, RankTooSmall,
                      SizeLimit, TargetTooLarge)
 from .geometry import is_projective_geometry, pg, theta
@@ -52,16 +51,24 @@ class MinorOutcome:
         return self
 
 
+class _OutOfNodes(Exception):
+    pass
+
+
 class _Nodes:
+    """A search's node count; `tick` raises _OutOfNodes on the node past
+    the cap, so a search cut by cap c reports c + 1 nodes."""
+
     __slots__ = ("count", "cap")
 
     def __init__(self, cap):
         self.count = 0
         self.cap = cap
 
-    def tick(self) -> bool:
+    def tick(self):
         self.count += 1
-        return self.cap is not None and self.count > self.cap
+        if self.cap is not None and self.count > self.cap:
+            raise _OutOfNodes
 
 
 def root_field_order(matroid: Matroid) -> int | None:
@@ -107,17 +114,19 @@ def max_line_minor(matroid: Matroid, max_nodes: int | None = None,
         stop_at = q + 1
     nodes = _Nodes(max_nodes)
     best, best_cert = 0, None
-    for contract, _, minor in contractions(matroid, r - 2):
-        if nodes.tick():
-            return LineMinorResult(best, best_cert, False, nodes.count)
-        if r - popcount(contract) > 2:
-            continue
-        count = minor.epsilon()
-        if count > best:
-            best = count
-            best_cert = ContractionLine(contract, minor.live, count)
-            if stop_at is not None and best >= stop_at:
-                return LineMinorResult(best, best_cert, True, nodes.count)
+    try:
+        for contract, _, minor in contractions(matroid, r - 2):
+            nodes.tick()
+            if r - popcount(contract) > 2:
+                continue
+            count = minor.epsilon()
+            if count > best:
+                best = count
+                best_cert = ContractionLine(contract, minor.live, count)
+                if stop_at is not None and best >= stop_at:
+                    break
+    except _OutOfNodes:
+        return LineMinorResult(best, best_cert, False, nodes.count)
     return LineMinorResult(best, best_cert, True, nodes.count)
 
 
@@ -140,7 +149,7 @@ def _try_embed(minor: Matroid, target: Matroid, nodes: _Nodes):
     """Backtracking injection of target elements onto point representatives
     of `minor`, preserving the rank of every subset of the mapped prefix.
     Returns the mapping (base elements, in target element order) or None;
-    raises _OutOfNodes when the node cap runs out."""
+    the node cap's _OutOfNodes passes through."""
     telems = list(bits(target.live))
     k = len(telems)
     reps = [lowest(c) for c in minor.points()]
@@ -162,8 +171,7 @@ def _try_embed(minor: Matroid, target: Matroid, nodes: _Nodes):
         return True
 
     def bt() -> bool:
-        if nodes.tick():
-            raise _OutOfNodes
+        nodes.tick()
         if len(mapping) == k:
             return True
         for v in reps:
@@ -180,20 +188,18 @@ def _try_embed(minor: Matroid, target: Matroid, nodes: _Nodes):
     return tuple(mapping) if bt() else None
 
 
-class _OutOfNodes(Exception):
-    pass
-
-
-def minor_isomorphic(matroid: Matroid, target: ExplicitMatroid,
+def minor_isomorphic(matroid: Matroid, target: Matroid,
                      max_nodes: int | None = None,
                      target_name: str = "") -> MinorOutcome:
     """Search for a minor of `matroid` isomorphic to a tiny simple target.
 
     Enumerates independent contraction sets (closure-deduplicated), then
     backtracks a rank-preserving bijection onto point representatives.
+    The target's size is checked before anything is asked of it.
     """
-    if target.size > 9:
-        raise TargetTooLarge(f"target has {target.size} elements, cap is 9")
+    if target.size > MAX_EMBED_TARGET:
+        raise TargetTooLarge(
+            f"target has {target.size} elements, cap is {MAX_EMBED_TARGET}")
     if not target.is_simple():
         raise PreconditionFailed("target must be simple")
     max_c = matroid.rank_full - target.rank_full
@@ -202,8 +208,7 @@ def minor_isomorphic(matroid: Matroid, target: ExplicitMatroid,
     nodes = _Nodes(max_nodes)
     try:
         for contract, _, minor in contractions(matroid, max_c):
-            if nodes.tick():
-                raise _OutOfNodes
+            nodes.tick()
             found = _try_embed(minor, target, nodes)
             if found is not None:
                 delete = minor.live & ~mask_of(found)
@@ -275,17 +280,17 @@ def find_pg_minor(matroid: Matroid, m: int, q: int,
         return MinorOutcome(ABSENT)
     nodes = _Nodes(max_nodes)
     status = ABSENT
-    for contract, _, minor in contractions(matroid, max_c):
-        if nodes.tick():
-            return MinorOutcome(UNKNOWN, None, nodes.count)
-        try:
-            hit = find_pg_restriction(minor, m, q, nodes)
-        except SizeLimit:
-            status = UNKNOWN
-            continue
-        except _OutOfNodes:
-            return MinorOutcome(UNKNOWN, None, nodes.count)
-        if hit is not None:
-            return MinorOutcome(FOUND, {"contract": contract, "restriction": hit},
-                                nodes.count)
+    try:
+        for contract, _, minor in contractions(matroid, max_c):
+            nodes.tick()
+            try:
+                hit = find_pg_restriction(minor, m, q, nodes)
+            except SizeLimit:
+                status = UNKNOWN
+                continue
+            if hit is not None:
+                return MinorOutcome(FOUND, {"contract": contract, "restriction": hit},
+                                    nodes.count)
+    except _OutOfNodes:
+        return MinorOutcome(UNKNOWN, None, nodes.count)
     return MinorOutcome(status, None, nodes.count)

@@ -300,18 +300,16 @@ def skew_dense_subset(matroid: Matroid, a: int, b: int,
     lam_now = lam
     spent = 0
     while True:
-        # contract the part of b lying outside the closure of the current set
+        # contract the part of b lying outside the closure of the current
+        # set, least element first; a loop lies in every closure, so each
+        # is a non-loop
         while True:
             outside = rest & ~current._closure_impl(sub, rest)
-            picked = None
-            for e in bits(outside):
-                if current.rank(1 << e) == 1:
-                    picked = e
-                    break
-            if picked is None:
+            if not outside:
                 break
-            current = current.contract(1 << picked)
-            rest &= ~(1 << picked)
+            low = outside & -outside
+            current = current.contract(low)
+            rest &= ~low
         if current.local_connectivity(sub, rest) == 0:
             break
         if spent >= k:
@@ -400,10 +398,10 @@ def _witness_claims(sub: Matroid, q: int) -> dict:
             "line_points_certified": q * q + 2}
 
 
-def round_dense_restriction(matroid: Matroid, q: int, t: int,
-                            confirm_minor: bool | None = None) -> RoundDenseOutcome:
+def round_dense_restriction(matroid: Matroid, q: int, t: int) -> RoundDenseOutcome:
     """Either a dense round restriction of rank >= t, or a density witness
     for a (q^2+2)-point-line minor; round inputs return "already-round".
+    On at most 10 elements a witness is confirmed by a line-minor search.
 
     Preconditions: q a prime power >= 4, t >= 1, rank >= 3t, and at least
     theta(q, rank) points.  The descent policy is f(k) = (q/2)^(s-k) theta(q, k)
@@ -437,9 +435,7 @@ def round_dense_restriction(matroid: Matroid, q: int, t: int,
         return RoundDenseOutcome("round-dense", subset,
                                  {"rank": rn, "points": en, "theta_q": bound})
     claims = _witness_claims(sub, q)
-    if confirm_minor is None:
-        confirm_minor = matroid.size <= 10
-    if confirm_minor:
+    if matroid.size <= 10:
         outcome = has_u2n_minor(matroid, q * q + 2)
         claims["confirmed"] = outcome.status
         if outcome.status == FOUND:
@@ -502,24 +498,17 @@ def line_from_line_and_plane(matroid: Matroid, line: int, plane: int, q: int,
         contracted |= 1 << e
         current = matroid.minor(contract=contracted)
 
-    # rank 3: pick an element of the long line whose point misses the plane
+    # rank 3: the least element of the long line whose point misses the
+    # plane, else the least one off the plane; banned holds the loops,
+    # which lie in every closure
     banned = 0
     for cls in current.points(plane):
         banned |= current.closure(cls & -cls)
-    candidates = line & current.live & ~banned
-    pick = None
-    for e in bits(candidates):
-        if current.rank(1 << e) == 1:
-            pick = e
-            break
-    if pick is None:
-        for e in bits(current.live & ~banned & ~plane):
-            if current.rank(1 << e) == 1:
-                pick = e
-                break
-    if pick is None:
+    candidates = (line & current.live & ~banned
+                  or current.live & ~banned & ~plane)
+    if not candidates:
         raise NoFreeElement("no element lies outside the plane's parallel closure")
-    contracted |= 1 << pick
+    contracted |= candidates & -candidates
     final = matroid.minor(contract=contracted)
     flat = final.closure(plane)
     pts = final.epsilon(flat)

@@ -79,6 +79,20 @@ def test_find_minor_absent(capsys, monkeypatch):
     assert code == 0 and out.strip() == "absent"
 
 
+def test_find_minor_checks_target_size_before_tabulating(capsys, monkeypatch):
+    # 2^18 subsets of u3,18 are never ranked: the size cap refuses it first
+    stdin = emit_matrix(pg(3, 2))
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, monkeypatch, ["find-minor", "--target", "u3,18"],
+                           stdin=stdin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "cap is 9" in err
+    assert peak < 256 * 1024
+
+
 def test_max_line_budget_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, monkeypatch,
                        ["--budget", "1", "max-line"],
@@ -220,6 +234,14 @@ def test_config_unknown_key(capsys, monkeypatch, tmp_path):
     cfg.write_text("belief=7\n")
     code, _, err = run(capsys, monkeypatch, ["--config", str(cfg), "pg", "3", "2"])
     assert code == 2 and "unknown config key" in err
+
+
+def test_config_format_checked_like_the_option(capsys, monkeypatch, tmp_path):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("format=xml\n")
+    code, out, err = run(capsys, monkeypatch, ["--config", str(cfg), "eps"],
+                         stdin=emit_matrix(pg(3, 2)))
+    assert code == 2 and out == "" and "format 'xml'" in err
 
 
 def test_gap_check_cli(capsys, monkeypatch):

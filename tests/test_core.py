@@ -1,17 +1,16 @@
 """Rank oracle, closure/flat machinery, minors, roundness, certificates."""
 
 import random
+import time
 import tracemalloc
 
 import pytest
 from conftest import messy_linear, minor_views
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from matroidlab import (DirectSum, ExplicitMatroid, LinearMatroid, MinorEmbedding,
-                        Partition, UniformMatroid, bits, field_make, mask_of, pg,
-                        popcount, verify_certificate)
-from matroidlab.bitset import spread
+from matroidlab import (DirectSum, ExplicitMatroid, HyperplanePairCover,
+                        LinearMatroid, MinorEmbedding, Partition, UniformMatroid,
+                        bits, field_make, mask_of, pg, popcount, verify_certificate)
+from matroidlab.bitset import lowest, spread
 from matroidlab.errors import (InternalContradiction, MalformedCertificate,
                                OutOfRange, OverlapError, RankZero, SizeLimit)
 
@@ -155,19 +154,30 @@ def test_connectivity_contained_span():
     assert f.local_connectivity(a, b) == f.rank(b)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 127), st.integers(0, 127))
-def test_connectivity_symmetric_nonnegative(a, b):
+def test_connectivity_symmetric_nonnegative():
+    # every (a, b) pair of PG(2,2)
     f = pg(3, 2)
-    assert f.local_connectivity(a, b) == f.local_connectivity(b, a) >= 0
+    for a in range(128):
+        for b in range(128):
+            assert f.local_connectivity(a, b) == f.local_connectivity(b, a) >= 0
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 127), st.integers(0, 127), st.integers(0, 127))
-def test_skew_is_subset_monotone(a, b, sub):
+def test_skew_is_subset_monotone():
+    # every subset of a, for every skew pair (a, b) of PG(2,2)
     f = pg(3, 2)
-    if f.is_skew(a, b):
-        assert f.is_skew(sub & a, b)
+    cases = 0
+    for a in range(128):
+        for b in range(128):
+            if not f.is_skew(a, b):
+                continue
+            sub = a
+            while True:
+                assert f.is_skew(sub, b)
+                cases += 1
+                if not sub:
+                    break
+                sub = (sub - 1) & a
+    assert cases == 3182
 
 
 # -- minors ---------------------------------------------------------------------
@@ -751,6 +761,102 @@ def test_round_certificate_is_hyperplane_pair():
     assert cover.hyperplane_a | cover.hyperplane_b == ds.live
 
 
+def test_roundness_runs_past_the_recursion_limit():
+    # the cells grow one element per step, 599 steps deep before B opens
+    u = UniformMatroid(600, 1000)
+    ok, cover = u.roundness()
+    assert not ok
+    assert verify_certificate(cover, u)
+
+
+def _recursive_roundness(m):
+    """The recursive hyperplane-pair search that `Matroid.roundness`
+    replaced, extending each cell to a hyperplane one element at a time."""
+    r = m.rank_full
+    if r == 0:
+        raise RankZero("roundness is undefined at rank 0")
+    visited = set()
+
+    def grow(cell, e):
+        cand = cell | (1 << e)
+        return None if m.rank(cand) >= r else m.closure(cand)
+
+    def search(side_a, side_b):
+        uncovered = m.live & ~(side_a | side_b)
+        if not uncovered:
+            return side_a, side_b
+        key = (side_a, side_b) if side_a <= side_b else (side_b, side_a)
+        if key in visited:
+            return None
+        visited.add(key)
+        e = lowest(uncovered)
+        for cell, other, flip in ((side_a, side_b, False), (side_b, side_a, True)):
+            grown = grow(cell, e)
+            if grown is None:
+                continue
+            found = search(grown, other) if not flip else search(other, grown)
+            if found:
+                return found
+        return None
+
+    def extend(flat):
+        while m.rank(flat) < r - 1:
+            e = next(e for e in bits(m.live & ~flat) if m.rank(flat | (1 << e)) < r)
+            flat = m.closure(flat | (1 << e))
+        return flat
+
+    loops = m.closure(0)
+    start = m.closure(1 << lowest(m.live & ~loops))
+    hit = search(start, loops) if m.rank(start) < r else None
+    if hit is None:
+        return True, None
+    return False, HyperplanePairCover(extend(hit[0]), extend(hit[1]))
+
+
+def _uniforms(max_n):
+    return [UniformMatroid(r, n) for n in range(1, max_n + 1) for r in range(n + 1)]
+
+
+def _roundness_inputs():
+    for i in range(24):
+        m = messy_linear(i)
+        for view in minor_views(m, random.Random(500 + i)):
+            yield f"messy-{i}/{view!r}", view
+    for left in _uniforms(4):
+        for right in _uniforms(4):
+            yield f"{left!r}+{right!r}", DirectSum([left, right])
+    for u in _uniforms(8):
+        yield repr(u), u
+
+
+def test_roundness_matches_the_recursive_search(monkeypatch):
+    # the same verdict and the same cover, on the messy matrices and their
+    # views, direct sums of uniform matroids and U(r, n) for n <= 8, with
+    # no more public rank and closure calls
+    from matroidlab.core import Matroid
+
+    calls = [0]
+    for name in ("rank", "closure"):
+        def counted(self, subset, _call=getattr(Matroid, name)):
+            calls[0] += 1
+            return _call(self, subset)
+        monkeypatch.setattr(Matroid, name, counted)
+    checked = 0
+    for name, m in _roundness_inputs():
+        if m.rank_full == 0:
+            with pytest.raises(RankZero):
+                m.roundness()
+            continue
+        calls[0] = 0
+        want = _recursive_roundness(m)
+        before = calls[0]
+        calls[0] = 0
+        assert m.roundness() == want, name
+        assert calls[0] <= before, name
+        checked += 1
+    assert checked > 300
+
+
 # -- certificates ------------------------------------------------------------------
 
 def test_partition_empty_part_is_false():
@@ -787,6 +893,17 @@ def test_verify_certificate_rejects_bad_mapping_indices(bad):
     cert = MinorEmbedding(0, 0, (bad, 1, 2), "uniform:2,3")
     with pytest.raises(MalformedCertificate):
         verify_certificate(cert, pg(3, 2))
+
+
+def test_embedding_target_above_the_search_cap_is_refused():
+    # a 16-element target would mean replaying 2^16 subset ranks
+    host = pg(5, 2)
+    mapping = tuple(range(16))
+    cert = MinorEmbedding(0, host.live & ~mask_of(mapping), mapping, "uniform:2,16")
+    t0 = time.perf_counter()
+    with pytest.raises(MalformedCertificate, match="cap is 9"):
+        verify_certificate(cert, host)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_ground_cap():

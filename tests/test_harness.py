@@ -224,16 +224,20 @@ def test_density_profile_labels_field_bound_membership():
     for rec in report.records:
         ms = rec["membership"]
         kinds.add(ms["kind"])
-        if rec["max_line"] == 3:
+        m = members[rec["key"]]
+        if m.rank_full < 2:
+            # settled without a search
+            assert ms == {"kind": "rank-below-2", "nodes": 0, "max_line": 1}
+        elif rec["max_line"] == 3:
             assert ms == {"kind": "field-bound", "q": 2, "nodes": ms["nodes"],
                           "max_line": 3}
         else:
             assert ms["kind"] == "exhaustive-search" and "q" not in ms
-            m = members[rec["key"]]
-            if m.rank_full >= 2:
-                assert ms["nodes"] == sum(len(m.flats_of_rank(k))
-                                          for k in range(m.rank_full - 1))
-    assert kinds == {"field-bound", "exhaustive-search"}
+            assert ms["nodes"] == sum(len(m.flats_of_rank(k))
+                                      for k in range(m.rank_full - 1))
+    assert kinds == {"rank-below-2", "field-bound", "exhaustive-search"}
+    assert sum(rec["membership"]["kind"] == "rank-below-2"
+               for rec in report.records) == 7
 
 
 def test_extremal_census_pg42_variants():

@@ -221,9 +221,28 @@ class Matroid:
         The search grows two closed cells, A and B, branching on the least
         element e not yet covered: e joins A first, and joins B only once
         that subtree has failed; a cell that would reach full rank is
-        pruned.  It is one loop over a stack of entries (A, B, e): e = 0
-        marks a node to expand, e a single bit the deferred branch that
-        puts e into B.
+        pruned.  It is one loop over a stack of entries (A, I_A, B, I_B,
+        F, e): e = 0 marks a node to expand, e a single bit the deferred
+        branch that puts e into B.  I_A is an independent set with
+        cl(I_A) = A (likewise I_B), so r(A + e) = |I_A| + 1 for the
+        uncovered e and A + e closes as cl(I_A + e), with no rank call.
+
+        F holds every e the path has put into B by a deferred branch, and
+        a grown A that meets F is pruned; no set of visited pairs is kept.
+        (i) A search from (A, B, F) finds a cover whenever some covering
+        pair of hyperplanes H1 >= A, H2 >= B has H1 disjoint from F, by
+        induction on the uncovered elements: if e is in H1, the A-branch
+        stays inside H1; otherwise e is in H2, and the B-branch adds e to
+        F, still disjoint from H1.  (ii) Pruning drops no hit: by
+        induction in search order, the subtrees pruned so far hold none,
+        so a subtree that failed would fail unpruned too, and no covering
+        pair extends its root.  The B-branch for e runs only once the
+        A-branch (A + e, B) has failed, so no covering pair extends a
+        later node whose A holds e, and those are the pruned ones.  The
+        first hit, and so the cover, is the one the unpruned tree meets
+        first.  (iii) Two paths first differ at some e, which is in A on
+        one and in F, so never in A, on the other: no ordered pair (A, B)
+        is expanded twice.
         """
         if self._roundness is not None:
             return self._roundness
@@ -231,54 +250,47 @@ class Matroid:
         if r == 0:
             raise RankZero("roundness is undefined at rank 0")
         live = self.live
-        loops = self.closure(0)
-        first = live & ~loops
-        if not first:
-            # cannot happen at rank >= 1
-            raise RankZero("no non-loop elements")
+        closure = self._closure_impl
+        loops = closure(0, live)
         # the first non-loop goes to side A; sides are symmetric
-        start = self.closure(first & -first)
-        stack = [(start, loops, 0)] if self.rank(start) < r else []
-        visited = set()
+        x = live & ~loops
+        x &= -x
+        stack = [(closure(x, live), x, loops, 0, 0, 0)] if r > 1 else []
         hit = None
         while stack:
-            a, b, e = stack.pop()
+            a, ia, b, ib, fa, e = stack.pop()
             if e:
-                if self.rank(b | e) < r:
-                    stack.append((a, self.closure(b | e), 0))
+                if popcount(ib) + 1 < r:
+                    stack.append((a, ia, b | closure(ib | e, live & ~b), ib | e, fa | e, 0))
                 continue
             uncovered = live & ~(a | b)
             if not uncovered:
-                hit = a, b
+                hit = a, ia, b, ib
                 break
-            key = (a, b) if a <= b else (b, a)
-            if key in visited:
-                continue
-            visited.add(key)
             e = uncovered & -uncovered
-            stack.append((a, b, e))
-            if self.rank(a | e) < r:
-                stack.append((self.closure(a | e), b, 0))
+            stack.append((a, ia, b, ib, fa, e))
+            if popcount(ia) + 1 < r:
+                grown = closure(ia | e, live & ~a)
+                if not grown & fa:
+                    stack.append((a | grown, ia | e, b, ib, fa, 0))
         if hit is None:
             self._roundness = (True, None)
         else:
-            h1 = self._extend_to_hyperplane(hit[0])
-            h2 = self._extend_to_hyperplane(hit[1])
+            h1 = self._extend_to_hyperplane(*hit[:2])
+            h2 = self._extend_to_hyperplane(*hit[2:])
             self._roundness = (False, HyperplanePairCover(h1, h2))
         return self._roundness
 
-    def _extend_to_hyperplane(self, flat: int) -> int:
+    def _extend_to_hyperplane(self, flat: int, indep: int) -> int:
         """The rank-(r-1) flat reached from the flat `flat` by adding the
         least element outside it and closing, until the rank is r - 1.
         Below rank r - 1 every element keeps the rank below r, so that is
-        cl(flat + I) for I the greedy extension of `flat` by r - 1 - r(flat)
-        elements."""
+        cl(I + J) for I = `indep`, independent with cl(I) = flat, and J the
+        greedy extension of I by r - 1 - |I| elements outside `flat`."""
         r = self.rank_full
+        extra = self._extend_basis(indep, self.live & ~flat, r - 1 - popcount(indep))
+        flat = self._closure_impl(indep | extra, self.live) if extra else flat
         k = self.rank(flat)
-        if k < r - 1:
-            extra = self._extend_basis(flat, self.live & ~flat, r - 1 - k)
-            flat = self.closure(flat | extra)
-            k = self.rank(flat)
         if k != r - 1:
             # a rank oracle obeying the axioms always reaches rank r - 1
             raise InternalContradiction(
@@ -322,8 +334,11 @@ class LinearMatroid(Matroid):
     Over GF(2) they are reduced by xor against a basis of leading bits;
     over larger fields a basis row holds its pivot offset and its
     multiples by slot pattern, so a reduction step is one shift, one mask
-    and one slot-wise add.  cl(X) & within eliminates X once and keeps
-    the columns of within - X that reduce to zero against that basis;
+    and one slot-wise add.  The table route would serve GF(2) as well,
+    with the same outputs, but the xor kernel is kept: the GF(2)-heavy
+    census workload runs measurably slower without it.  cl(X) & within
+    eliminates X once and keeps the columns of within - X that reduce to
+    zero against that basis;
     `_extend_basis` extends such a basis a column at a time.  The points
     of M/C are the columns projected modulo span(C); the root projects all
     its columns once (C empty, keyed by normal form), so points(within) on

@@ -663,7 +663,7 @@ def test_extend_to_hyperplane_raises_on_an_inconsistent_table():
     # flat towards a hyperplane: a contradiction, not an endless loop
     m = ExplicitMatroid(3, [0] + [3] * 7, verify=False)
     with pytest.raises(InternalContradiction):
-        m._extend_to_hyperplane(0)
+        m._extend_to_hyperplane(0, 0)
 
 
 def test_explicit_rejects_bad_table():
@@ -849,6 +849,98 @@ def test_roundness_matches_the_recursive_search(monkeypatch):
             continue
         calls[0] = 0
         want = _recursive_roundness(m)
+        before = calls[0]
+        calls[0] = 0
+        assert m.roundness() == want, name
+        assert calls[0] <= before, name
+        checked += 1
+    assert checked > 300
+
+
+def _visited_set_roundness(m):
+    """The stack loop `Matroid.roundness` had before it carried independent
+    sets: a rank call before each growth, cells closed from scratch, a set
+    of the (unordered) pairs already expanded, and a rank check before a
+    cell is extended to its hyperplane."""
+    r = m.rank_full
+    live = m.live
+    loops = m.closure(0)
+    first = live & ~loops
+    start = m.closure(first & -first)
+    stack = [(start, loops, 0)] if m.rank(start) < r else []
+    visited = set()
+    while stack:
+        a, b, e = stack.pop()
+        if e:
+            if m.rank(b | e) < r:
+                stack.append((a, m.closure(b | e), 0))
+            continue
+        uncovered = live & ~(a | b)
+        if not uncovered:
+            break
+        key = (a, b) if a <= b else (b, a)
+        if key in visited:
+            continue
+        visited.add(key)
+        e = uncovered & -uncovered
+        stack.append((a, b, e))
+        if m.rank(a | e) < r:
+            stack.append((m.closure(a | e), b, 0))
+    else:
+        return True, None
+
+    def extend(flat):
+        k = m.rank(flat)
+        if k < r - 1:
+            flat = m.closure(flat | m._extend_basis(flat, live & ~flat, r - 1 - k))
+        return flat
+
+    return False, HyperplanePairCover(extend(a), extend(b))
+
+
+@pytest.mark.parametrize("make, round_", [
+    (lambda: pg(4, 2), True), (lambda: pg(5, 2), True),
+    (lambda: random_linear(3, 4, 6, seed=5), True),
+    *((lambda q=q, seed=seed: random_linear(q, 4, 6, seed), False)
+      for q in (2, 3) for seed in range(3)),
+    (lambda: random_linear(2, 5, 8, seed=1), False),
+    (lambda: random_linear(4, 3, 5, seed=2), False),
+])
+def test_roundness_adds_no_memo_entries(make, round_):
+    # the search asks no rank: the memo grows only by the rank check of
+    # each hyperplane of a non-round cover
+    m = make()
+    m.rank_full
+    before = len(m._cache)
+    assert m.is_round() == round_
+    assert len(m._cache) - before <= (0 if round_ else 2)
+
+
+def _counting_closures(m):
+    """Shadow m._closure_impl by a wrapper counting the calls made on m."""
+    calls = [0]
+    impl = m._closure_impl
+
+    def counted(subset, within):
+        calls[0] += 1
+        return impl(subset, within)
+
+    m._closure_impl = counted
+    return calls
+
+
+def test_roundness_matches_the_visited_set_loop():
+    # with a forbid mask in place of the visited set and independent sets
+    # in place of rank calls, the same cells meet first, they extend to
+    # the same hyperplanes, and no search makes more closures
+    inputs = list(_roundness_inputs())
+    inputs += [("pg(4,2)", pg(4, 2)), ("pg(5,2)", pg(5, 2)), ("pg(4,3)", pg(4, 3))]
+    checked = 0
+    for name, m in inputs:
+        if m.rank_full == 0:
+            continue
+        calls = _counting_closures(m)
+        want = _visited_set_roundness(m)
         before = calls[0]
         calls[0] = 0
         assert m.roundness() == want, name

@@ -9,8 +9,8 @@ from functools import cache
 import pytest
 from conftest import growth_instance, skew_dense_instance
 
-from matroidlab import (DirectSum, UniformMatroid, bits, pg, popcount, procedures,
-                        subfield_subgeometry, theta, verify_certificate)
+from matroidlab import (DirectSum, UniformMatroid, bits, mask_of, pg, popcount,
+                        procedures, subfield_subgeometry, theta, verify_certificate)
 from matroidlab.bitset import lowest
 from matroidlab.errors import (NoFreeElement, NotPrimePower, PreconditionFailed,
                                InternalContradiction, NoSuchFlat)
@@ -122,6 +122,21 @@ def test_skew_dense_pg42_instance():
     # deterministic run: frozen output of the documented tie-breaking rules
     assert m.rank(sub) == 3 and m.epsilon(sub) == 6
     assert skew_dense_subset(m, a, b, target) == sub
+
+
+@pytest.mark.parametrize("plane, b, lam, want", [
+    ([2, 4, 14], [5, 11, 22], Fraction(103, 64), 14),
+    ([3, 5, 14], [1, 11, 35], Fraction(3, 2), 14),
+])
+def test_skew_dense_contracts_the_least_element_of_b_first(plane, b, lam, want):
+    # b is three independent points off the plane a of PG(3,3), so one of
+    # them is contracted and the next projects into a: contracting the
+    # least one first fixes the point of a the result must be skew to
+    m = pg(4, 3)
+    a = m.closure(mask_of(plane))
+    assert popcount(a) == 13 and m.local_connectivity(a, mask_of(b)) == 2
+    target = DensityTarget(lam, 2, 3, 2)
+    assert skew_dense_subset(m, a, mask_of(b), target) == 1 << want
 
 
 def test_skew_dense_k0_identity():
@@ -394,6 +409,21 @@ def test_line_plane_rank4_descent():
     cert = line_from_line_and_plane(m, line, plane, 2)
     assert popcount(cert.contract) == 2  # one descent step, then the base step
     assert cert.points >= 5
+    assert verify_certificate(cert, m)
+
+
+def test_line_plane_contracts_the_least_candidate():
+    # a 4-point line of PG(3,4) meeting the span of the binary plane in no
+    # element, plus two points: 23 is the least element off both spans, and
+    # in M/23 no line element is parallel to a plane point, so all four are
+    # candidates and the least, 54, is contracted
+    g = pg(4, 4)
+    plane = g.restrict(subfield_subgeometry(g, 1)).flats_of_rank(3)[0]
+    assert plane == mask_of([0, 1, 2, 5, 6, 9, 10])
+    line = mask_of([54, 58, 62, 66])
+    m = g.restrict(plane | line | mask_of([23, 82]))
+    cert = line_from_line_and_plane(m, line, plane, 2)
+    assert cert.contract == mask_of([23, 54])
     assert verify_certificate(cert, m)
 
 

@@ -6,7 +6,7 @@ so that two checkouts can be compared output for output.
     python3 tools/dump_outputs.py --compare A.json B.json
 
 The library is imported from the `src` directory next to this script, so
-each checkout dumps its own code.  The document has three sections:
+each checkout dumps its own code.  The document has four sections:
 
 - `walk`: the (contract, closure) sequence of a full-depth
   `core.contractions` walk on seeded linear matrices and their views,
@@ -15,7 +15,9 @@ each checkout dumps its own code.  The document has three sections:
 - `max_line`: points, exact, certificate and nodes of `max_line_minor` on
   pg(n, q) for n, q in 2..5, and on PG(n-1, p) inside pg(n, p^k);
 - `census`: the canonical JSON of the three census commands on every
-  registry catalog at l = 2 and 3.
+  registry catalog at l = 2 and 3;
+- `roundness`: the verdict and the hyperplane-pair cover of `roundness`
+  on every walk input and registry catalog member of rank >= 1.
 
 `--compare` prints, for each section, the number of differing leaves per
 path below the input name (list positions shown as `[]`), or
@@ -111,6 +113,21 @@ def dump_census():
     return out
 
 
+def _round_record(m):
+    ok, cover = m.roundness()
+    return {"round": ok, "cover": None if cover is None else certificate_to_dict(cover)}
+
+
+def dump_roundness():
+    out = {name: _round_record(m) for name, m in walk_inputs().items()
+           if m.rank_full >= 1}
+    for name in sorted(catalogs.REGISTRY):
+        for member in catalogs.registry_catalog(name).members:
+            if member.matroid.rank_full >= 1:
+                out[f"{name}/{member.key}"] = _round_record(member.matroid)
+    return out
+
+
 def _diff(a, b, path, counts):
     if isinstance(a, dict) and isinstance(b, dict):
         for k in a.keys() | b.keys():
@@ -145,7 +162,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
-    doc = {"walk": dump_walks(), "max_line": dump_max_line(), "census": dump_census()}
+    doc = {"walk": dump_walks(), "max_line": dump_max_line(), "census": dump_census(),
+           "roundness": dump_roundness()}
     text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if args.out:
         Path(args.out).write_text(text)

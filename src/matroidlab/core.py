@@ -16,6 +16,8 @@ one echelon basis and points from its cached point classes.
 flats, the minor searches and the recognizer.
 """
 
+from itertools import chain
+
 from .bitset import bits, check_ground_size, lowest, mask_of, popcount, spread
 from .certificates import HyperplanePairCover, Partition
 from .errors import (InternalContradiction, OutOfRange, OverlapError,
@@ -343,7 +345,10 @@ class LinearMatroid(Matroid):
     of M/C are the columns projected modulo span(C); the root projects all
     its columns once (C empty, keyed by normal form), so points(within) on
     it and on its restrictions is a lookup that makes no normal form or
-    rank call.
+    rank call.  A walk child M/(C + e) refines its parent's keys by one
+    inlined reduction step against the key of e's class, and rescales
+    (`VectorPacking.normal`, a table lookup per chunk) only the keys whose
+    leading coordinate that step cleared.
     """
 
     def __init__(self, fieldspec, columns):
@@ -353,11 +358,15 @@ class LinearMatroid(Matroid):
         self.columns = columns
         self.nrows = len(columns[0]) if columns else 0
         q = fieldspec.q
-        for j, col in enumerate(columns):
-            if len(col) != self.nrows:
-                raise PreconditionFailed(f"column {j} has wrong height")
-            if any(not 0 <= a < q for a in col):
-                raise OutOfRange(f"column {j} has entries outside 0..{q - 1}")
+        entries = set(chain.from_iterable(columns))
+        if (set(map(len, columns)) - {self.nrows}
+                or entries and not (0 <= min(entries) and max(entries) < q)):
+            # name the first bad column
+            for j, col in enumerate(columns):
+                if len(col) != self.nrows:
+                    raise PreconditionFailed(f"column {j} has wrong height")
+                if any(not 0 <= a < q for a in col):
+                    raise OutOfRange(f"column {j} has entries outside 0..{q - 1}")
         self._cache = {0: 0}
         self._gf2 = q == 2
         self._pack = vector_packing(fieldspec, self.nrows)
@@ -485,21 +494,65 @@ class LinearMatroid(Matroid):
         """Points of M/contract within `within`, keyed by normal form modulo
         span(contract) in order of least element (a column of form zero is
         a loop).  Given `parent`, the keyed points of M/(contract - e) in
-        place of `within` and the key of e's class, each key (zero at the
-        pivots of span(contract - e)) is reduced against e's key alone."""
+        place of `within` and the key of e's class, the keys are refined
+        from the parent's (`_project_child`)."""
         if parent:
-            classes, pivot = parent
-            basis = [pivot if self._gf2 else self._pack.row(pivot)]
-            pairs = classes.items()
-        else:
-            basis = self._echelon(contract)
-            pairs = [(v, 1 << e) for e, v in enumerate(self._vecs) if within >> e & 1]
+            return self._project_child(*parent)
+        basis = self._echelon(contract)
         normal = self._reduce_gf2 if self._gf2 else self._normal_tables
         out = {}
-        for v, c in pairs:
-            key = normal(v, basis)
-            if key:
-                out[key] = out.get(key, 0) | c
+        for e, v in enumerate(self._vecs):
+            if within >> e & 1:
+                key = normal(v, basis)
+                if key:
+                    out[key] = out.get(key, 0) | 1 << e
+        return out
+
+    def _project_child(self, classes: dict, pivot: int) -> dict:
+        """The keyed points of M/(C + e) from those of M/C, `classes`, and
+        the key `pivot` of e's class.  Each key is zero at the pivots of
+        span(C), so one reduction step against the row of `pivot`, inlined
+        here, leaves it zero at the pivots of span(C + e).  Over GF(q),
+        q > 2, a key also has 1 at its lowest nonzero coordinate and the row
+        is zero below its pivot slot, so the key keeps that leading 1
+        unless it sat at the pivot slot; only then is it renormalized."""
+        out = {}
+        if self._gf2:  # the step of `_reduce_gf2`
+            for v, c in classes.items():
+                w = v ^ pivot
+                if w < v:
+                    if not w:
+                        continue
+                    v = w
+                out[v] = out.get(v, 0) | c
+            return out
+        pk = self._pack
+        off, mults = pk.row(pivot)
+        mask, normal, below = pk.mask, pk.normal, (1 << off) - 1
+        if pk.p == 2:  # the step of `_reduce_tables`
+            for v, c in classes.items():
+                d = v >> off & mask
+                if d:
+                    w = v ^ mults[d]
+                    if not v & below:
+                        if not w:
+                            continue
+                        w = normal(w)
+                    v = w
+                out[v] = out.get(v, 0) | c
+            return out
+        bias, guard, shift, p = pk.bias, pk.guard, pk.w - 1, pk.p
+        for v, c in classes.items():
+            d = v >> off & mask
+            if d:  # `VectorPacking.add`, inlined
+                s = v + mults[d]
+                w = s - ((s + bias & guard) >> shift) * p
+                if not v & below:
+                    if not w:
+                        continue
+                    w = normal(w)
+                v = w
+            out[v] = out.get(v, 0) | c
         return out
 
     def __repr__(self):

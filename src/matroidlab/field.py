@@ -10,8 +10,9 @@ Tables are tiny (q is desk-scale) and every operation is a flat-list lookup.
 Elimination does not walk them entry by entry: `VectorPacking` packs a
 column into one int (base-p digits in bit slots), and `core.LinearMatroid`
 reduces whole vectors at once.  The tables serve only to build a packing,
-to invert pivots and, over odd GF(p^k) with k > 1, to take scalar
-multiples.
+to invert pivots, to build the per-packing tables that rescale a packed
+vector to its normal form and, over odd GF(p^k) with k > 1, to take
+scalar multiples.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -248,6 +249,12 @@ class VectorPacking:
             slots = range(0, nrows * k * w, w)
             self.guard = sum(1 << s + w - 1 for s in slots)
             self.bias = sum((1 << w - 1) - p << s for s in slots)
+        # `normal` rescales a chunk at a time: whole coordinates, at most 10
+        # bits (or one coordinate where a coordinate is wider) and at most
+        # the vector's height
+        self.chunk_bits = max(1, min(10 // self.width, nrows)) * self.width
+        self.chunk_mask = (1 << self.chunk_bits) - 1
+        self._scalings = {}
 
     def pack(self, col) -> int:
         width, pattern, v = self.width, self.pattern, 0
@@ -298,10 +305,36 @@ class VectorPacking:
         return out
 
     def normal(self, v: int) -> int:
-        """Nonzero v scaled to 1 at its lowest nonzero coordinate."""
+        """Nonzero v scaled to 1 at its lowest nonzero coordinate, where it
+        holds the slot pattern c: unless c = 1, v is mapped a chunk at a
+        time through the table of inv(c)·x (`_scaling`)."""
         off = ((v & -v).bit_length() - 1) // self.width * self.width
         c = v >> off & self.mask
-        return v if c == 1 else self.scale(v, self.inv[c])
+        if c == 1:
+            return v
+        table = self._scalings.get(c) or self._scaling(c)
+        step, chunk = self.chunk_bits, self.chunk_mask
+        v >>= off
+        out = 0
+        while v:
+            out |= table[v & chunk] << off
+            v >>= step
+            off += step
+        return out
+
+    def _scaling(self, c: int) -> dict:
+        """{x: inv(c)·x} over the valid patterns x of one chunk (no guard bit
+        set, every slot group an element), built coordinate by coordinate
+        from the field's products: at most max(2^10, q) entries, one table
+        per leading pattern c, stored only once complete."""
+        f, pattern, q = self.field, self.pattern, self.field.q
+        row = self.inv[c] * q
+        table = {0: 0}
+        for i in range(0, self.chunk_bits, self.width):
+            table = {x | pattern[a] << i: y | pattern[f.mul_flat[row + a]] << i
+                     for x, y in table.items() for a in range(q)}
+        self._scalings[c] = table
+        return table
 
     def row(self, u: int) -> tuple:
         """A basis row for a normal form u: (offset of its pivot, -c·u by

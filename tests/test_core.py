@@ -11,8 +11,11 @@ from matroidlab import (DirectSum, ExplicitMatroid, HyperplanePairCover,
                         LinearMatroid, MinorEmbedding, Partition, UniformMatroid,
                         bits, field_make, mask_of, pg, popcount, verify_certificate)
 from matroidlab.bitset import lowest, spread
+from matroidlab.core import contractions
 from matroidlab.errors import (InternalContradiction, MalformedCertificate,
-                               OutOfRange, OverlapError, RankZero, SizeLimit)
+                               OutOfRange, OverlapError, PreconditionFailed,
+                               RankZero, SizeLimit)
+from matroidlab.field import VectorPacking, vector_packing
 
 
 def random_linear(q, rank, cols, seed):
@@ -336,18 +339,97 @@ def _ref_echelon(m, subset):
     return basis
 
 
-def _ref_contraction_points(m, contract):
+def _ref_keyed_points(m, contract):
+    """The points of M/contract as {(pivot, row): class} in order of least
+    element, keyed by `_ref_normal`."""
     basis = _ref_echelon(m, contract)
     classes = {}
     for e in bits(m.live & ~contract):
         key = _ref_normal(m.field, m.columns[e], basis)
         if key:
             classes[key] = classes.get(key, 0) | 1 << e
-    return list(classes.values())
+    return classes
+
+
+def _ref_contraction_points(m, contract):
+    return list(_ref_keyed_points(m, contract).values())
 
 
 KERNEL_FIELDS = (2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 32, 49, 64, 81, 121, 125,
                  128, 243, 256)
+
+
+def _seeded_kernel_columns(spec, height, rng):
+    """A few random columns plus a zero column, a repeated column and a
+    nonzero multiple of a column."""
+    q = spec.q
+    cols = [tuple(rng.randrange(q) for _ in range(height))
+            for _ in range(rng.randint(max(2, height - 1), height + 1))]
+    c = rng.randrange(1, q)
+    cols += [(0,) * height, rng.choice(cols),
+             tuple(spec.mul(c, a) for a in rng.choice(cols))]
+    rng.shuffle(cols)
+    return cols
+
+
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+def test_table_normal_matches_scale(q):
+    # the chunked table rescaling against double-and-add (or the per-
+    # coordinate route) by the inverse of the leading coordinate
+    spec = field_make(q)
+    rng = random.Random(700 + q)
+    for height in range(1, 9):
+        pk = vector_packing(spec, height)
+        for _ in range(40):
+            col = [rng.randrange(q) for _ in range(height)]
+            lead = rng.randrange(height)
+            col[:lead + 1] = [0] * lead + [rng.randrange(1, q)]
+            v = pk.pack(col)
+            assert pk.normal(v) == pk.scale(v, spec.inv[col[lead]])
+            assert pk.normal(v) >> lead * pk.width & pk.mask == 1
+
+
+@pytest.mark.parametrize("q", [243, 256])
+def test_normal_tables_are_bounded(q, monkeypatch):
+    # one table per leading pattern c != 1, so q - 2 of them, each keyed by
+    # the valid patterns of one chunk (at most max(2^10, q)) and built from
+    # the field's products alone
+    spec = field_make(q)
+    pk = VectorPacking(spec, 3)
+    monkeypatch.setattr(VectorPacking, "scale", None)
+    for a in range(1, q):
+        for v in (pk.pack((0, a, 0)), pk.pack((a, 1, 2)), pk.pack((0, 0, a))):
+            got = pk.normal(v)
+            lead = ((got & -got).bit_length() - 1) // pk.width * pk.width
+            assert got >> lead & pk.mask == 1
+    assert len(pk._scalings) == q - 2
+    valid = set(pk.pattern)
+    for table in pk._scalings.values():
+        assert len(table) <= max(1 << 10, q)
+        assert set(table) == valid  # one coordinate per chunk at these q
+
+
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+def test_walk_keys_match_list_elimination(q):
+    # every node of a full-depth walk refines its keyed points from its
+    # parent's (`_project_child`); keys and classes against list
+    # elimination, which over GF(2) runs on the rows reversed, since the
+    # packed GF(2) kernel clears the highest bits rather than the lowest
+    spec = field_make(q)
+    rng = random.Random(800 + q)
+    for height in (1, 2, 3, 4):
+        cols = _seeded_kernel_columns(spec, height, rng)
+        m = LinearMatroid(spec, cols)
+        ref = LinearMatroid(spec, [c[::-1] for c in cols]) if q == 2 else m
+        pk = m._pack
+        for contract, _, minor in contractions(m, m.rank_full):
+            rows = [tuple(pk.elem[key >> i * pk.width & pk.mask]
+                          for i in range(height)) for key in minor._keyed_points()]
+            if q == 2:
+                rows = [row[::-1] for row in rows]
+            want = _ref_keyed_points(ref, contract)
+            assert rows == [row for _, row in want]
+            assert list(minor._keyed_points().values()) == list(want.values())
 
 
 @pytest.mark.parametrize("q", KERNEL_FIELDS)
@@ -358,13 +440,7 @@ def test_packed_kernel_matches_list_elimination(q):
     spec = field_make(q)
     rng = random.Random(q)
     for height in (1, 2, 3, 4, 5):
-        cols = [tuple(rng.randrange(q) for _ in range(height))
-                for _ in range(rng.randint(max(2, height - 1), height + 1))]
-        c = rng.randrange(1, q)
-        cols += [(0,) * height, rng.choice(cols),
-                 tuple(spec.mul(c, a) for a in rng.choice(cols))]
-        rng.shuffle(cols)
-        m = LinearMatroid(spec, cols)
+        m = LinearMatroid(spec, _seeded_kernel_columns(spec, height, rng))
         for x in range(1 << m.n):
             basis = _ref_echelon(m, x)
             assert m.rank(x) == len(basis)
@@ -507,7 +583,9 @@ def test_repeat_points_make_no_elimination(q, monkeypatch):
     views = _cached_views(m, rng)
     masks = [_subsets(view, rng) for view in views]
     first = [[view.points(w) for w in ws] for view, ws in zip(views, masks)]
-    calls = {"_normal_tables": 0, "_reduce_gf2": 0, "_rank_impl": 0}
+    # `_project` is counted too: a refinement from a parent's classes
+    # reduces inline, with no `_normal_tables` or `_reduce_gf2` call
+    calls = {"_normal_tables": 0, "_reduce_gf2": 0, "_rank_impl": 0, "_project": 0}
     for name in calls:
         orig = getattr(LinearMatroid, name)
 
@@ -517,7 +595,7 @@ def test_repeat_points_make_no_elimination(q, monkeypatch):
         monkeypatch.setattr(LinearMatroid, name, counted)
     again = [[view.points(w) for w in ws] for view, ws in zip(views, masks)]
     assert again == first
-    assert calls == {"_normal_tables": 0, "_reduce_gf2": 0, "_rank_impl": 0}
+    assert calls == {"_normal_tables": 0, "_reduce_gf2": 0, "_rank_impl": 0, "_project": 0}
 
 
 @pytest.mark.parametrize("i", MESSY)
@@ -624,8 +702,6 @@ def _greedy_basis(m, flat):
 
 
 def _check_canonical_walk(m):
-    from matroidlab.core import contractions
-
     walk = [(contract, closed)
             for contract, closed, _ in contractions(m, m.rank_full)]
     assert walk == _visited_set_walk(m)
@@ -666,11 +742,24 @@ def test_extend_to_hyperplane_raises_on_an_inconsistent_table():
         m._extend_to_hyperplane(0, 0)
 
 
+@pytest.mark.parametrize("cols, error, message", [
+    ([(1, 0), (1,), (0, 1)], PreconditionFailed, "column 1 has wrong height"),
+    ([(1, 0), (0, 1), (3, 1)], OutOfRange, "column 2 has entries outside 0..2"),
+    ([(1, 0), (0, -1)], OutOfRange, "column 1 has entries outside 0..2"),
+    # two bad columns: the first one is named, whichever check it fails
+    ([(1, 0), (0, 5), (1, 1, 1)], OutOfRange, "column 1 has entries outside 0..2"),
+    ([(1, 0), (0, 1, 0), (-1, 1)], PreconditionFailed, "column 1 has wrong height"),
+])
+def test_linear_rejects_bad_entries_naming_the_first_bad_column(cols, error, message):
+    with pytest.raises(error) as info:
+        LinearMatroid(field_make(3), cols)
+    assert str(info.value) == message
+
+
 def test_explicit_rejects_bad_table():
     u = UniformMatroid(2, 4)
     table = list(ExplicitMatroid.from_matroid(u).table)
     table[0b1111] = 3  # break submodularity/monotone structure
-    from matroidlab.errors import PreconditionFailed
     with pytest.raises(PreconditionFailed):
         ExplicitMatroid(4, table)
 

@@ -6,10 +6,11 @@ so that two checkouts can be compared output for output.
     python3 tools/dump_outputs.py --compare A.json B.json
 
 The library is imported from the `src` directory next to this script, so
-each checkout dumps its own code.  The document has four sections:
+each checkout dumps its own code.  The document has five sections:
 
 - `walk`: the (contract, closure) sequence of a full-depth
-  `core.contractions` walk on seeded linear matrices and their views,
+  `core.contractions` walk on seeded linear matrices over GF(2), GF(3),
+  GF(4), GF(5), GF(7), GF(8), GF(9) and GF(25) and their views,
   projective geometries, a prime subgeometry, a uniform matroid and a
   direct sum;
 - `max_line`: points, exact, certificate and nodes of `max_line_minor` on
@@ -17,7 +18,10 @@ each checkout dumps its own code.  The document has four sections:
 - `census`: the canonical JSON of the three census commands on every
   registry catalog at l = 2 and 3;
 - `roundness`: the verdict and the hyperplane-pair cover of `roundness`
-  on every walk input and registry catalog member of rank >= 1.
+  on every walk input and registry catalog member of rank >= 1;
+- `recognizer`: the `PgReport` fields of `is_projective_geometry` on
+  pg(n, q) for q in 2..9 (prime powers), on PG(n-1, p) inside pg(n, p^k),
+  and on the simplification of every walk input of rank >= 3.
 
 `--compare` prints, for each section, the number of differing leaves per
 path below the input name (list positions shown as `[]`), or
@@ -34,8 +38,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from matroidlab import (DirectSum, LinearMatroid, UniformMatroid,  # noqa: E402
-                        certificate_to_dict, field_make, max_line_minor, pg,
-                        subfield_subgeometry)
+                        certificate_to_dict, field_make, is_projective_geometry,
+                        max_line_minor, pg, subfield_subgeometry)
 from matroidlab.core import contractions  # noqa: E402
 from matroidlab.harness import catalogs  # noqa: E402
 from matroidlab.harness.census import (check_kung_bound, density_profile,  # noqa: E402
@@ -46,10 +50,11 @@ CENSUS = {"check-kung": check_kung_bound, "density-profile": density_profile,
 
 
 def _seeded_linear(i):
-    """GF(2), GF(3), GF(4) or GF(8) matrix of rank 2-4 with 6-10 columns,
-    among them a zero column and a repeated one."""
+    """Matrix of rank 2-4 with 6-10 columns, among them a zero column and a
+    repeated one: over GF(2), GF(3), GF(4) or GF(8) for i < 16, over GF(5),
+    GF(7), GF(9) or GF(25) from 16 on."""
     rng = random.Random(9_100 + i)
-    q = (2, 3, 4, 8)[i % 4]
+    q = (2, 3, 4, 8)[i % 4] if i < 16 else (5, 7, 9, 25)[i % 4]
     rank = rng.randint(2, 4)
     cols = [tuple(rng.randrange(q) for _ in range(rank))
             for _ in range(rng.randint(rank + 2, 8))]
@@ -65,7 +70,7 @@ def _prime_subgeometry(n, q):
 
 def walk_inputs():
     out = {}
-    for i in range(16):
+    for i in range(24):
         m = _seeded_linear(i)
         a, b, c = (1 << e for e in random.Random(i).sample(range(m.n), 3))
         out[f"seeded-{i}"] = m
@@ -128,6 +133,25 @@ def dump_roundness():
     return out
 
 
+def _pg_record(m):
+    report = is_projective_geometry(m)
+    return {"order": report.order, "plane": report.plane, "failure": report.failure}
+
+
+def dump_recognizer():
+    out = {}
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for n in (3, 4, 5, 6):
+            if n <= 4 or q ** (n - 4) <= 4:
+                out[f"pg-{n}-{q}"] = _pg_record(pg(n, q))
+    for n, q in [(3, 4), (4, 4), (3, 8), (3, 9), (4, 9)]:
+        out[f"pg-{n}-{q}/prime"] = _pg_record(_prime_subgeometry(n, q))
+    for name, m in walk_inputs().items():
+        if m.rank_full >= 3:
+            out[f"{name}/simple"] = _pg_record(m.simplify())
+    return out
+
+
 def _diff(a, b, path, counts):
     if isinstance(a, dict) and isinstance(b, dict):
         for k in a.keys() | b.keys():
@@ -163,7 +187,7 @@ def main(argv=None) -> int:
     if args.compare:
         return compare(*args.compare)
     doc = {"walk": dump_walks(), "max_line": dump_max_line(), "census": dump_census(),
-           "roundness": dump_roundness()}
+           "roundness": dump_roundness(), "recognizer": dump_recognizer()}
     text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if args.out:
         Path(args.out).write_text(text)

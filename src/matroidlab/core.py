@@ -336,9 +336,15 @@ class LinearMatroid(Matroid):
     Over GF(2) they are reduced by xor against a basis of leading bits;
     over larger fields a basis row holds its pivot offset and its
     multiples by slot pattern, so a reduction step is one shift, one mask
-    and one slot-wise add.  The table route would serve GF(2) as well,
-    with the same outputs, but the xor kernel is kept: the GF(2)-heavy
-    census workload runs measurably slower without it.  cl(X) & within
+    and one slot-wise add.  Such a row is built once per matroid and kept
+    in `_rows` under the reduced vector that made it (at most q^nrows - 1
+    entries, held as long as the matroid, like the rank memo).  A rank
+    call reduces each column inline and, when it returns no basis, counts
+    its last independent column (the one that reaches `nrows`, or the
+    subset's last) without adding it to the basis, since no column reduces
+    against it.  The table route would serve GF(2) as well, with the same
+    outputs, but the xor kernel is kept: the GF(2)-heavy census workload
+    runs measurably slower without it.  cl(X) & within
     eliminates X once and keeps the columns of within - X that reduce to
     zero against that basis;
     `_extend_basis` extends such a basis a column at a time.  The points
@@ -371,6 +377,7 @@ class LinearMatroid(Matroid):
         self._gf2 = q == 2
         self._pack = vector_packing(fieldspec, self.nrows)
         self._vecs = tuple(map(self._pack.pack, columns))
+        self._rows = {}
 
     def _rank_impl(self, subset: int) -> int:
         got = self._cache.get(subset)
@@ -385,31 +392,72 @@ class LinearMatroid(Matroid):
 
     def _rank_gf2(self, subset: int, basis: list | None = None) -> int:
         """Rank of span(basis) plus the columns of `subset`; a given
-        `basis` (from `_reduce_gf2`, largest first) is extended in place."""
-        if basis is None:
+        `basis` (leading bits distinct, largest first) is extended in place.
+        Each column is reduced inline, as in `_reduce_gf2`; with no `basis`
+        the column that brings the rank to `nrows`, or the last one, is
+        counted without joining the basis, since no column reduces against
+        it."""
+        keep = basis is not None
+        if not keep:
             basis = []
-        while subset and len(basis) < self.nrows:
+        vectors, nrows, n = self._vecs, self.nrows, len(basis)
+        while subset and n < nrows:
             low = subset & -subset
             subset ^= low
-            v = self._reduce_gf2(self._vecs[low.bit_length() - 1], basis)
+            v = vectors[low.bit_length() - 1]
+            for b in basis:
+                w = v ^ b
+                if w < v:
+                    v = w
             if v:
-                basis.append(v)
-                basis.sort(reverse=True)
-        return len(basis)
+                n += 1
+                if keep or subset and n < nrows:
+                    basis.append(v)
+                    basis.sort(reverse=True)
+        return n
 
     def _rank_tables(self, subset: int, basis: list | None = None) -> int:
         """Rank of span(basis) plus the columns of `subset`; a given
-        `basis` (rows from `VectorPacking.row`, by pivot) is extended in place."""
-        if basis is None:
+        `basis` (rows from `_row`, by pivot) is extended in place.  Each
+        column is reduced inline, as in `_reduce_tables`, and the row of a
+        reduced vector comes from `_rows`; with no `basis` the column that
+        brings the rank to `nrows`, or the last one, is counted without a
+        row, since no column reduces against it."""
+        keep = basis is not None
+        if not keep:
             basis = []
-        while subset and len(basis) < self.nrows:
+        pk = self._pack
+        rows, vectors, nrows, n = self._rows, self._vecs, self.nrows, len(basis)
+        mask, odd = pk.mask, pk.p != 2
+        if odd:
+            bias, guard, shift, p = pk.bias, pk.guard, pk.w - 1, pk.p
+        while subset and n < nrows:
             low = subset & -subset
             subset ^= low
-            v = self._normal_tables(self._vecs[low.bit_length() - 1], basis)
+            v = vectors[low.bit_length() - 1]
+            if odd:
+                for off, mults in basis:  # `VectorPacking.add`, inlined
+                    c = v >> off & mask
+                    if c:
+                        s = v + mults[c]
+                        v = s - ((s + bias & guard) >> shift) * p
+            else:
+                for off, mults in basis:
+                    v ^= mults[v >> off & mask]
             if v:
-                basis.append(self._pack.row(v))
-                basis.sort()
-        return len(basis)
+                n += 1
+                if keep or subset and n < nrows:
+                    basis.append(rows.get(v) or self._row(v))
+                    basis.sort()
+        return n
+
+    def _row(self, v: int) -> tuple:
+        """The basis row of the normal form of nonzero v, built once per
+        matroid and kept in `_rows` under v: a reduced vector names its row
+        whatever basis reduced it."""
+        pk = self._pack
+        row = self._rows[v] = pk.row(pk.normal(v))
+        return row
 
     def _reduce_gf2(self, v: int, basis: list) -> int:
         """Packed vector v modulo span(basis).  Basis vectors have distinct
@@ -443,8 +491,8 @@ class LinearMatroid(Matroid):
 
     def _normal_tables(self, v: int, basis: list) -> int:
         """`_reduce_tables` scaled to 1 at its lowest nonzero coordinate:
-        the same for every column of one point of M/span(basis), and a
-        vector that can join the basis (0 if v lies in the span)."""
+        the same for every column of one point of M/span(basis), so the key
+        of that point (0 if v lies in the span)."""
         v = self._reduce_tables(v, basis)
         return self._pack.normal(v) if v else 0
 
@@ -511,11 +559,12 @@ class LinearMatroid(Matroid):
     def _project_child(self, classes: dict, pivot: int) -> dict:
         """The keyed points of M/(C + e) from those of M/C, `classes`, and
         the key `pivot` of e's class.  Each key is zero at the pivots of
-        span(C), so one reduction step against the row of `pivot`, inlined
-        here, leaves it zero at the pivots of span(C + e).  Over GF(q),
-        q > 2, a key also has 1 at its lowest nonzero coordinate and the row
-        is zero below its pivot slot, so the key keeps that leading 1
-        unless it sat at the pivot slot; only then is it renormalized."""
+        span(C), so one reduction step against the row of `pivot` (from
+        `_rows`), inlined here, leaves it zero at the pivots of span(C + e).
+        Over GF(q), q > 2, a key also has 1 at its lowest nonzero coordinate
+        and the row is zero below its pivot slot, so the key keeps that
+        leading 1 unless it sat at the pivot slot; only then is it
+        renormalized."""
         out = {}
         if self._gf2:  # the step of `_reduce_gf2`
             for v, c in classes.items():
@@ -527,7 +576,7 @@ class LinearMatroid(Matroid):
                 out[v] = out.get(v, 0) | c
             return out
         pk = self._pack
-        off, mults = pk.row(pivot)
+        off, mults = self._rows.get(pivot) or self._row(pivot)
         mask, normal, below = pk.mask, pk.normal, (1 << off) - 1
         if pk.p == 2:  # the step of `_reduce_tables`
             for v, c in classes.items():

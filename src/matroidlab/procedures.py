@@ -14,6 +14,7 @@ All density comparisons are exact: thresholds are Fractions, counts are ints.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor
 
 from .bitset import bits, lowest, popcount
 from .certificates import ContractionLine
@@ -165,25 +166,37 @@ def _greedy_shrink(m: Matroid, subset: int, lam: Fraction, q: int) -> int:
     """Drop least-index points while the density bound survives.
 
     A candidate is a whole point P of M|S, so eps(S - P) = eps(S) - 1 and
-    r(S - P) is r(S) or r(S) - 1: one point count and one rank per step.
-    Above lam q^r(S) the first point goes; at or below lam q^(r(S) - 1)
-    none can; in between, the first point whose removal drops the rank.
-    Such a point meets every basis of S, so only the points holding a
-    column of one basis of S are tested.
+    r(S - P) is r(S) or r(S) - 1, and the points of S - P are those of S
+    but P: the points are taken once.  Above lam q^r(S) the first point
+    goes, and so does each next one while the count stays above
+    lam q^r(S), since the rank cannot grow: the first j go at once, for
+    the least j that brings the count to lam q^r(S), and what is left is
+    ranked once.  At or below lam q^(r(S) - 1) no point can go; in
+    between, the first point whose removal drops the rank.  Such a point
+    meets every basis of S, so only the points holding a column of one
+    basis B of S are tested, and P drops the rank iff no element of
+    S - P - B lies outside cl(B - P).
     """
+    classes = m.points(subset)
+    r = m.rank(subset)
     while True:
-        classes = m.points(subset)
         count = len(classes) - 1
-        r = m.rank(subset)
         if count > lam * q ** r:
-            subset &= ~classes[0]
+            j = count - floor(lam * q ** r)
+            for cls in classes[:j]:
+                subset &= ~cls
+            del classes[:j]
+            r = m.rank(subset)
             continue
         if count * q <= lam * q ** r:
             return subset
         spanning = m._extend_basis(0, subset, r)
-        for cls in classes:
-            if cls & spanning and m.rank(subset & ~cls) < r:
+        for i, cls in enumerate(classes):
+            if cls & spanning and not m._extend_basis(
+                    spanning & ~cls, subset & ~(cls | spanning), 1):
                 subset &= ~cls
+                del classes[i]
+                r -= 1
                 break
         else:
             return subset

@@ -3,6 +3,7 @@
 import random
 import time
 import tracemalloc
+from itertools import product
 
 import pytest
 from conftest import messy_linear, minor_views
@@ -436,18 +437,62 @@ def test_walk_keys_match_list_elimination(q):
 def test_packed_kernel_matches_list_elimination(q):
     # ranks, closures and contraction points on every subset of seeded
     # matrices of heights 1-5, each with a zero column, a repeated column
-    # and a nonzero multiple of a column
+    # and a nonzero multiple of a column; swept twice, the second time with
+    # the rank memo emptied and the basis rows of the first sweep cached
     spec = field_make(q)
     rng = random.Random(q)
     for height in (1, 2, 3, 4, 5):
         m = LinearMatroid(spec, _seeded_kernel_columns(spec, height, rng))
-        for x in range(1 << m.n):
-            basis = _ref_echelon(m, x)
-            assert m.rank(x) == len(basis)
-            assert m.closure(x) == mask_of(
-                e for e in bits(m.live) if x >> e & 1
-                or _ref_normal(spec, m.columns[e], basis) is None)
-            assert m.contract(x).points() == _ref_contraction_points(m, x)
+        for sweep in range(2):
+            m._cache = {0: 0}
+            for x in range(1 << m.n):
+                basis = _ref_echelon(m, x)
+                assert m.rank(x) == len(basis)
+                assert m.closure(x) == mask_of(
+                    e for e in bits(m.live) if x >> e & 1
+                    or _ref_normal(spec, m.columns[e], basis) is None)
+                assert m.contract(x).points() == _ref_contraction_points(m, x)
+        assert bool(m._rows) == (q > 2 and m.rank_full > 0)
+
+
+def test_pure_rank_call_builds_no_row_it_does_not_read(monkeypatch):
+    # a rank call with no basis to return counts the column that brings
+    # the rank to nrows without building its row, and takes the others
+    # from the matroid's row cache once built; an echelon basis keeps all
+    built = []
+    row = VectorPacking.row
+    monkeypatch.setattr(VectorPacking, "row", lambda pk, u: built.append(u) or row(pk, u))
+    m = LinearMatroid(field_make(3), pg(4, 3).columns)
+    r = m.nrows
+    assert m.rank(m.live) == r and 0 < len(built) <= r - 1
+    built.clear()
+    assert m.rank(m.live & ~(1 << m.n - 1)) == r and not built
+    assert len(m._echelon(m.live)) == r and len(built) == 1
+
+
+@pytest.mark.parametrize("q, height", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (7, 2),
+                                       (8, 2), (9, 2), (27, 1)])
+def test_row_cache_is_bounded_by_the_nonzero_vectors(q, height):
+    # every nonzero vector of GF(q)^height as a column: after a full-depth
+    # walk and a seeded subset sweep the cache holds at most q^height - 1
+    # rows, each the row of its key's normal form
+    spec = field_make(q)
+    cols = [c for c in product(range(q), repeat=height) if any(c)]
+    m = LinearMatroid(spec, cols)
+    for _, _, minor in contractions(m, m.rank_full):
+        minor._keyed_points()
+    rng = random.Random(q * 10 + height)
+    for _ in range(400):
+        x = rng.getrandbits(m.n)
+        m.rank(x)
+        m.closure(x)
+        m._extend_basis(x & rng.getrandbits(m.n), m.live, m.nrows)
+    pk = m._pack
+    assert 0 < len(m._rows) <= q ** height - 1
+    for v, (off, mults) in m._rows.items():
+        want_off, want = pk.row(pk.normal(v))
+        assert v and off == want_off
+        assert all(mults[c] == want[c] for c in pk.inv)  # every nonzero pattern
 
 
 # -- linear fast paths against the generic rank-oracle routes -------------------
@@ -513,7 +558,7 @@ def test_extend_basis_matches_generic_route(i):
 def test_view_closure_reduces_only_its_own_columns(monkeypatch):
     # a view's closure tests its own elements, not every column of the root:
     # the scan reduces one column per element of live - x (the echelon basis
-    # of x and the contract set reduces through _normal_tables, not counted)
+    # of x and the contract set reduces inline in _rank_tables, not counted)
     from matroidlab.core import LinearMatroid
 
     m = pg(4, 3)

@@ -2,6 +2,8 @@
 line-and-plane contraction, prime-power arithmetic."""
 
 import hashlib
+import math
+import random
 import tracemalloc
 from fractions import Fraction
 from functools import cache
@@ -9,8 +11,9 @@ from functools import cache
 import pytest
 from conftest import growth_instance, skew_dense_instance
 
-from matroidlab import (DirectSum, UniformMatroid, bits, mask_of, pg, popcount,
-                        procedures, subfield_subgeometry, theta, verify_certificate)
+from matroidlab import (DirectSum, LinearMatroid, UniformMatroid, bits, field_make,
+                        mask_of, pg, popcount, procedures, subfield_subgeometry,
+                        theta, verify_certificate)
 from matroidlab.bitset import lowest
 from matroidlab.errors import (NoFreeElement, NotPrimePower, PreconditionFailed,
                                InternalContradiction, NoSuchFlat)
@@ -226,6 +229,67 @@ def test_greedy_shrink_matches_recount_on_generic_matroids():
                 r = m.rank(s)
                 between += lam * q ** (r - 1) < m.epsilon(s) <= lam * q ** r
     assert between
+
+
+def _greedy_shrink_rank_per_step(m, subset, lam, q):
+    """The shrink step taking the points and a cold rank call per removal,
+    and a cold rank call per basis point in between."""
+    while True:
+        classes = m.points(subset)
+        count = len(classes) - 1
+        r = m.rank(subset)
+        if count > lam * q ** r:
+            subset &= ~classes[0]
+            continue
+        if count * q <= lam * q ** r:
+            return subset
+        spanning = m._extend_basis(0, subset, r)
+        for cls in classes:
+            if cls & spanning and m.rank(subset & ~cls) < r:
+                subset &= ~cls
+                break
+        else:
+            return subset
+
+
+def test_greedy_shrink_matches_rank_per_step_on_linear_matroids():
+    # seeded GF(2)/GF(3) matrices of ranks 2-6, their contractions by one
+    # element, and thresholds spread from far below to above eps/q^r, so
+    # that multi-point jumps, jumps that drop the rank and in-between
+    # removals all occur; each run on a fresh matroid, with a cold memo
+    rng = random.Random(4_200)
+    seen = {"jump": 0, "rank-drop": 0, "between": 0}
+    for _ in range(120):
+        fq = rng.choice([2, 3])
+        r = rng.randint(2, 6 if fq == 2 else 5)
+        cols = [tuple(rng.randrange(fq) for _ in range(r))
+                for _ in range(rng.randint(r + 2, min(30, theta(fq, r) + 4)))]
+        spec = field_make(fq)
+        e = rng.randrange(len(cols))
+        subset = mask_of(i for i in range(len(cols)) if rng.random() < 0.9)
+        q = rng.choice([2, 3])
+        for make in (lambda: LinearMatroid(spec, cols),
+                     lambda: LinearMatroid(spec, cols).contract(1 << e)):
+            m = make()
+            s = subset & m.live
+            rank = m.rank(s)
+            if rank == 0:
+                continue
+            classes = m.points(s)
+            count = len(classes) - 1
+            for frac in (Fraction(1, 10), Fraction(1, 3), Fraction(2, 3), Fraction(9, 10),
+                         Fraction(11, 10)):
+                lam = Fraction(count + 1, q ** rank) * frac
+                want = _greedy_shrink_rank_per_step(make(), s, lam, q)
+                assert procedures._greedy_shrink(make(), s, lam, q) == want
+                j = count - math.floor(lam * q ** rank)
+                if j > 0:
+                    seen["jump"] += j > 1
+                    rest = s & ~sum(classes[:j])  # the classes are disjoint
+                    seen["rank-drop"] += m.rank(rest) < rank
+                elif count > lam * q ** (rank - 1):
+                    seen["between"] += want != s
+    assert all(seen.values()), seen
 
 
 def _skew_to_element_by_closure(m, subset, e, lam, q, l):

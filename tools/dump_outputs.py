@@ -6,7 +6,7 @@ so that two checkouts can be compared output for output.
     python3 tools/dump_outputs.py --compare A.json B.json
 
 The library is imported from the `src` directory next to this script, so
-each checkout dumps its own code.  The document has five sections:
+each checkout dumps its own code.  The document has six sections:
 
 - `walk`: the (contract, closure) sequence of a full-depth
   `core.contractions` walk on seeded linear matrices over GF(2), GF(3),
@@ -21,7 +21,12 @@ each checkout dumps its own code.  The document has five sections:
   on every walk input and registry catalog member of rank >= 1;
 - `recognizer`: the `PgReport` fields of `is_projective_geometry` on
   pg(n, q) for q in 2..9 (prime powers), on PG(n-1, p) inside pg(n, p^k),
-  and on the simplification of every walk input of rank >= 3.
+  and on the simplification of every walk input of rank >= 3;
+- `procedures`: the subset that `skew_dense_subset` returns on seeded
+  GF(2)/GF(3) inputs of ranks 2-6 at connectivity budgets 0-2, and that
+  `round_restriction` returns on seeded linear matroids and direct sums
+  with seeded growth tables (or the name of the error raised), the inputs
+  generated here.
 
 `--compare` prints, for each section, the number of differing leaves per
 path below the input name (list positions shown as `[]`), or
@@ -33,14 +38,18 @@ import argparse
 import json
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from matroidlab import (DirectSum, LinearMatroid, UniformMatroid,  # noqa: E402
+from matroidlab import (DensityTarget, DirectSum, GrowthPolicy,  # noqa: E402
+                        LinearMatroid, UniformMatroid,
                         certificate_to_dict, field_make, is_projective_geometry,
-                        max_line_minor, pg, subfield_subgeometry)
+                        max_line_minor, pg, round_restriction, skew_dense_subset,
+                        subfield_subgeometry)
 from matroidlab.core import contractions  # noqa: E402
+from matroidlab.errors import MatroidlabError  # noqa: E402
 from matroidlab.harness import catalogs  # noqa: E402
 from matroidlab.harness.census import (check_kung_bound, density_profile,  # noqa: E402
                                        extremal_census)
@@ -152,6 +161,81 @@ def dump_recognizer():
     return out
 
 
+def _random_linear(rng, q, rank, cols):
+    return LinearMatroid(field_make(q), [tuple(rng.randrange(q) for _ in range(rank))
+                                         for _ in range(cols)])
+
+
+def _skew_input(i):
+    """(matroid, a, b, target) with connectivity(a, b) at most k and eps(a)
+    above lam q^r(a), b of one or two elements: over GF(2) of rank 2-6 or
+    GF(3) of rank 2-4 at k = 0 and 1, and over GF(3) of rank 4-5 with at
+    least three quarters of its points at k = 2.  lam >= l^(k-1)/q for
+    k >= 1, so no dense set met on the way has rank 1.  Draws are repeated
+    until one meets these rules."""
+    rng = random.Random(9_300 + i)
+    k = (0, 1, 1, 2)[i % 4]
+    fq = 3 if k == 2 else (2, 3)[i // 4 % 2]
+    while True:
+        if k == 2:  # lam >= l/q needs a field that outgrows the density base
+            q, l, r = 2, 3, rng.randint(4, 5)
+            hi_c = (3 ** r - 1) // 2
+            lo_c = hi_c * 3 // 4
+        else:
+            q = 2 if fq == 2 else rng.choice([2, 3])
+            l = rng.choice([3, 4] if fq == 3 else [2, 3])
+            r = rng.randint(2, 6 if fq == 2 else 4)
+            lo_c, hi_c = r + 2, min(30, (fq ** r - 1) // (fq - 1) + 4)
+        m = _random_linear(rng, fq, r, rng.randint(lo_c, hi_c))
+        b = sum(1 << e for e in rng.sample(range(m.n), rng.randint(1, 2)))
+        a = sum(1 << e for e in range(m.n) if not b >> e & 1 and rng.random() < 0.9)
+        if not a or m.local_connectivity(a, b) > k:
+            continue
+        lo = Fraction(l ** (k - 1), q) if k else Fraction(1, 1000)
+        hi = Fraction(m.epsilon(a), q ** m.rank(a))
+        if hi > lo:
+            lam = lo + (hi - lo) * Fraction(rng.randint(1, 9), 10)
+            return m, a, b, DensityTarget(lam, q, l, k)
+
+
+def _round_input(i):
+    """(matroid, policy): a linear matroid over GF(2) or GF(3), or its
+    direct sum with a uniform matroid, and an integer growth table with
+    f(r) at most its point count."""
+    rng = random.Random(9_500 + i)
+    fq = (2, 3)[i % 2]
+    r = rng.randint(1, 5)
+    m = _random_linear(rng, fq, r, rng.randint(r + 1, 16))
+    if i % 3 == 2:
+        m = DirectSum([m, UniformMatroid(rng.randint(1, 2), rng.randint(2, 5))])
+    r = m.rank_full
+    if not r:
+        return None
+    values = [0] * r
+    values[-1] = rng.randint(1, m.epsilon())
+    for k in range(r - 1, 0, -1):
+        values[k - 1] = rng.randint(1, (values[k] + 1) // 2)
+    return m, GrowthPolicy.from_table(values)
+
+
+def _procedure_record(run, *args):
+    try:
+        return run(*args)
+    except MatroidlabError as exc:
+        return type(exc).__name__
+
+
+def dump_procedures():
+    out = {}
+    for i in range(120):
+        out[f"skew-dense-{i}"] = _procedure_record(skew_dense_subset, *_skew_input(i))
+    for i in range(60):
+        inp = _round_input(i)
+        if inp is not None:
+            out[f"round-restriction-{i}"] = _procedure_record(round_restriction, *inp)
+    return out
+
+
 def _diff(a, b, path, counts):
     if isinstance(a, dict) and isinstance(b, dict):
         for k in a.keys() | b.keys():
@@ -187,7 +271,8 @@ def main(argv=None) -> int:
     if args.compare:
         return compare(*args.compare)
     doc = {"walk": dump_walks(), "max_line": dump_max_line(), "census": dump_census(),
-           "roundness": dump_roundness(), "recognizer": dump_recognizer()}
+           "roundness": dump_roundness(), "recognizer": dump_recognizer(),
+           "procedures": dump_procedures()}
     text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if args.out:
         Path(args.out).write_text(text)

@@ -183,10 +183,14 @@ def _mask(values) -> int:
 
 
 def certificate_from_dict(d: dict):
+    if not isinstance(d, dict):
+        raise MalformedCertificate("certificate payload must be an object")
     try:
         kind = d["type"]
         sets = d["sets"]
         claims = d.get("claims", {})
+        if not isinstance(sets, dict) or not isinstance(claims, dict):
+            raise MalformedCertificate("certificate 'sets' and 'claims' must be objects")
         if kind == "partition":
             return Partition(_mask(sets["part_a"]), _mask(sets["part_b"]))
         if kind == "hyperplane-pair-cover":

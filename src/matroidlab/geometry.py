@@ -109,17 +109,38 @@ def is_projective_geometry(matroid: Matroid) -> PgReport:
     order: every line has >= 3 points; every pair of disjoint lines is skew
     (at rank 3 this says every two lines of the plane meet); constant line
     size q+1; for rank >= 4, q is a prime power; the point count equals
-    theta(q, r); for planes, #lines = #points.  The first failed check is
-    reported.
+    theta(q, r).  The first failed check is reported.
 
-    The lines and planes come from one depth-2 walk of `contractions`: the
-    planes through a line L are L | P, one for each point P of M/L.  With
-    every line of >= 3 points, the lines of a plane pairwise meet iff the
-    plane has as many lines as points (de Bruijn-Erdos), and two disjoint
-    lines are skew iff they lie in no common plane.  So the pair scan runs
-    only when some plane fails that count, to name the first failing pair.
-    A line is spanned by any two of its points, so two disjoint lines are
-    skew iff the two least points of each have rank 4 together.
+    One depth-2 walk of `contractions` keeps three things: the least line
+    mask among lines of < 3 points, the set of line sizes, and a flag that
+    stays true while |P| = (c-1)^2 for every point P of M/L at every line
+    L of c points.  A short line is reported first, as the least short
+    mask, which is the first short line in sorted order.  Once every line
+    has >= 3 points, the reports are those of counting the lines of every
+    plane and ranking every pair of disjoint lines:
+
+    - A plane is projective iff it has |L|^2 - |L| + 1 points for each
+      line L in it.  Forward: a plane of order n has lines of n + 1 points
+      and n^2 + n + 1 points.  Backward: all its lines then share one size
+      k; each point lies on (v-1)/(k-1) = k lines, so it has as many lines
+      as points, and by de Bruijn-Erdos with no 2-point line it is
+      projective.
+    - The planes through L are L | P for the points P of M/L, so the flag
+      says exactly that every plane has as many lines as points.
+    - A non-projective plane has two disjoint lines (lines of >= 3 points
+      that pairwise meet form a projective plane), and they are coplanar,
+      so not skew; two disjoint lines in no common plane are skew.  So a
+      disjoint pair that is not skew exists iff the flag is false, and
+      only then are the sorted lines taken from `flats_of_rank(2)` and
+      scanned pair by pair to name the first such pair.  A line is spanned
+      by any two of its points, so two disjoint lines are skew iff the two
+      least points of each have rank 4 together.
+    - At rank 3 the flag forces |E| = c^2 - c + 1 and as many lines as
+      points, so a plane needs no line count.
+
+    The line-size, prime-power and point-count checks then guard the steps
+    that rest on Veblen-Young: at rank >= 4, all planes projective make M
+    a projective space, hence PG(r-1, q) over a field of order q.
     """
     r = matroid.rank_full
     if r <= 2:
@@ -127,24 +148,26 @@ def is_projective_geometry(matroid: Matroid) -> PgReport:
     if not matroid.is_simple():
         raise PreconditionFailed("recognizer expects a simple matroid; simplify first")
     plane = r == 3
-    lines = []
-    per_plane = {}  # plane -> number of lines in it; at rank 3, E -> #lines
-    for contract, line, minor in contractions(matroid, 2):
-        if popcount(contract) == 2:
-            lines.append(line)
-            for p in minor.points():
-                per_plane[line | p] = per_plane.get(line | p, 0) + 1
-    lines.sort()
+    short = None  # the least line of fewer than 3 points
     sizes = set()
-    pairs = []  # the two least points of each line, which span it
-    for line in lines:
+    planes_ok = True  # |P| = (c-1)^2 for every point P of M/L, c = |L|
+    for contract, line, minor in contractions(matroid, 2):
+        if popcount(contract) != 2:
+            continue
         c = popcount(line)  # simple: points of a flat are its elements
-        if c < 3:
-            return PgReport(None, plane, f"line-with-fewer-than-3-points: {sorted(bits(line))}")
+        if c < 3 and (short is None or line < short):
+            short = line
         sizes.add(c)
-        rest = line & (line - 1)
-        pairs.append(line & -line | rest & -rest)
-    if any(n != popcount(p) for p, n in per_plane.items()):
+        if planes_ok and any(popcount(p) != (c - 1) ** 2 for p in minor.points()):
+            planes_ok = False
+    if short is not None:
+        return PgReport(None, plane, f"line-with-fewer-than-3-points: {sorted(bits(short))}")
+    if not planes_ok:
+        lines = matroid.flats_of_rank(2)
+        pairs = []  # the two least points of each line, which span it
+        for line in lines:
+            rest = line & (line - 1)
+            pairs.append(line & -line | rest & -rest)
         for i, la in enumerate(lines):
             for lb, pb in zip(lines[i + 1:], pairs[i + 1:]):
                 if la & lb:
@@ -160,6 +183,4 @@ def is_projective_geometry(matroid: Matroid) -> PgReport:
     if matroid.size != geometric_series_sum(q, r):
         return PgReport(None, plane,
                         f"point-count-mismatch: {matroid.size} != theta({q},{r})")
-    if plane and len(lines) != matroid.size:
-        return PgReport(None, plane, f"line-count-mismatch: {len(lines)} lines")
     return PgReport(q, plane)

@@ -73,6 +73,14 @@ def _load_matroid(source):
         return parse_matrix(fh.read())
 
 
+def _rational(text):
+    """An integer, decimal or p/q.  Exponent notation is refused: Fraction
+    would build 10**k in full, so '1e-9999999' alone costs seconds."""
+    if "e" in text.lower():
+        raise _UsageError(f"rational {text!r} in exponent notation; write a decimal or p/q")
+    return Fraction(text)
+
+
 def _parse_target(text):
     """'u2,5' style uniform targets or named instances."""
     if text.startswith("u"):
@@ -259,7 +267,7 @@ def _cmd(args):
         return EXIT_OK if res.exact else EXIT_UNKNOWN
     if cmd == "skew-dense":
         m = _load_matroid(args.input)
-        target = DensityTarget(Fraction(args.lam), args.q, args.l, args.k)
+        target = DensityTarget(_rational(args.lam), args.q, args.l, args.k)
         sub = skew_dense_subset(m, _mask_arg(args.a), _mask_arg(args.b), target)
         _emit(args, {"subset": sorted(bits(sub)), "epsilon": m.epsilon(sub),
                      "rank": m.rank(sub)},

@@ -4,6 +4,7 @@ Entries are the base-p integer encodings of GF(q) elements, one column per
 ground-set element.  Parse errors carry line and column positions.
 """
 
+from .bitset import MAX_GROUND
 from .core import LinearMatroid
 from .errors import MatrixFormatError, NotPrimePower, SizeLimit
 from .field import field_make
@@ -32,6 +33,8 @@ def parse_matrix(text: str) -> LinearMatroid:
         raise MatrixFormatError(f"non-integer header field in {header!r}", line=1)
     if r < 0 or n < 0:
         raise MatrixFormatError("negative dimensions", line=1)
+    if n > MAX_GROUND:  # before n columns are built, even empty ones
+        raise MatrixFormatError(f"{n} columns exceed the cap of {MAX_GROUND}", line=1)
     try:
         spec = field_make(q)
     except (NotPrimePower, SizeLimit) as exc:

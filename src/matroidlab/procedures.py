@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .bitset import bits, lowest, popcount
+from .bitset import MAX_GROUND, bits, lowest, popcount
 from .certificates import ContractionLine
 from .core import Matroid
 from .errors import (InternalContradiction, NoFreeElement, NoSuchFlat,
@@ -420,6 +420,10 @@ def round_dense_restriction(matroid: Matroid, q: int, t: int) -> RoundDenseOutco
     theta(q, rank) points.  The descent policy is f(k) = (q/2)^(s-k) theta(q, k)
     with s the full rank, in exact rationals.
     """
+    # no input with q above the ground cap is valid (it needs more than q
+    # points), so refuse it before is_prime_power factors q in O(sqrt q)
+    if q > MAX_GROUND:
+        raise PreconditionFailed(f"q = {q} exceeds the ground-set cap {MAX_GROUND}")
     if not is_prime_power(q):
         raise NotPrimePower(f"{q} is not a prime power")
     if q < 4:
@@ -476,6 +480,10 @@ def line_from_line_and_plane(matroid: Matroid, line: int, plane: int, q: int,
     long line, and the contraction merges at most one full plane line into
     a point, leaving at least q^2 + 1 points on the resulting rank-2 flat.
     """
+    # no input with q above the ground cap is valid (it needs more than q
+    # points), so refuse it before is_prime_power factors q in O(sqrt q)
+    if q > MAX_GROUND:
+        raise PreconditionFailed(f"q = {q} exceeds the ground-set cap {MAX_GROUND}")
     if not is_prime_power(q):
         raise NotPrimePower(f"{q} is not a prime power")
     for name, mask in (("line", line), ("plane", plane)):

@@ -142,6 +142,8 @@ def test_usage_error_exit_2(capsys, monkeypatch):
      "--q", "2", "--l", "2", "--k", "1"],
     ["connectivity", "--a", "0,x", "--b", "1"],
     ["round-restrict", "--policy", "1,two"],
+    ["skew-dense", "--a", "0", "--b", "1", "--lam", "1e-999999",
+     "--q", "2", "--l", "2", "--k", "1"],
 ])
 def test_malformed_values_exit_2(capsys, monkeypatch, argv):
     code, _, err = run(capsys, monkeypatch, argv, stdin=emit_matrix(pg(3, 2)))
@@ -161,6 +163,27 @@ def test_mask_values_range_checked_before_allocating(capsys, monkeypatch, a):
         tracemalloc.stop()
     assert code == 2 and "usage error" in err
     assert peak < 256 * 1024
+
+
+def test_matrix_header_width_checked_before_allocating(capsys, monkeypatch):
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, monkeypatch, ["eps"], stdin="2 0 2000000\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "line 1" in err
+    assert peak < 256 * 1024
+
+
+def test_verify_cert_non_object_claims_exit_2(capsys, monkeypatch, tmp_path):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"type": "minor-embedding", "claims": [1],
+                                "sets": {"contract": [], "delete": [],
+                                         "mapping": [0, 1, 2]}}))
+    code, _, err = run(capsys, monkeypatch, ["verify-cert", "--cert", str(cert)],
+                       stdin=emit_matrix(pg(3, 2)))
+    assert code == 2 and "error" in err
 
 
 def test_verify_cert_bad_json_exit_2(capsys, monkeypatch, tmp_path):

@@ -1112,6 +1112,19 @@ def test_certificate_from_dict_rejects_bad_indices(bad, field):
         certificate_from_dict(d)
 
 
+@pytest.mark.parametrize("d", [
+    [1],
+    {"type": "partition", "sets": [1]},
+    {"type": "minor-embedding", "claims": [1],
+     "sets": {"contract": [], "delete": [], "mapping": [0, 1, 2]}},
+], ids=["payload-list", "sets-list", "claims-list"])
+def test_certificate_from_dict_rejects_non_object_parts(d):
+    from matroidlab import certificate_from_dict
+
+    with pytest.raises(MalformedCertificate):
+        certificate_from_dict(d)
+
+
 @pytest.mark.parametrize("bad", [-1, "3"])
 def test_verify_certificate_rejects_bad_mapping_indices(bad):
     from matroidlab import MinorEmbedding

@@ -2,10 +2,12 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
+from conftest import messy_linear
 
-from matroidlab import (UniformMatroid, bits, geometric_series_sum,
+from matroidlab import (ExplicitMatroid, UniformMatroid, bits, geometric_series_sum,
                         is_projective_geometry, mask_of, pg, popcount,
                         subfield_subgeometry, theta)
 from matroidlab.certificates import target_from_descriptor
@@ -294,9 +296,17 @@ def test_recognizer_matches_pair_scan_on_registry_members():
     assert count > 100
 
 
-def _affine(rank):
-    g = pg(rank, 3)
+def _affine(rank, q=3):
+    g = pg(rank, q)
     return g.restrict(mask_of(j for j, col in enumerate(g.columns) if col[0]))
+
+
+def _truncation(m, k):
+    """The rank-k truncation of m, as a full rank table."""
+    return ExplicitMatroid(m.n, [min(m.rank(s), k) for s in range(1 << m.n)])
+
+
+MESSY_RANK_3 = [i for i in range(24) if messy_linear(i).rank_full >= 3]
 
 
 @pytest.mark.parametrize("make", [
@@ -304,11 +314,27 @@ def _affine(rank):
     lambda: two_lines_rank_3()[0],
     lambda: pg(3, 2), lambda: pg(3, 3), lambda: pg(3, 4), lambda: pg(4, 2),
     lambda: pg(4, 3), lambda: pg(4, 4), lambda: pg(5, 2),
+    lambda: _affine(3, 4), lambda: _affine(3, 5), lambda: _truncation(pg(4, 2), 3),
+    *(lambda i=i: messy_linear(i).simplify() for i in MESSY_RANK_3),
 ], ids=["AG(2,3)", "AG(3,3)", "two-lines", "PG(2,2)", "PG(2,3)", "PG(2,4)",
-        "PG(3,2)", "PG(3,3)", "PG(3,4)", "PG(4,2)"])
+        "PG(3,2)", "PG(3,3)", "PG(3,4)", "PG(4,2)", "AG(2,4)", "AG(2,5)",
+        "PG(3,2)-truncated-to-rank-3", *(f"messy-{i}" for i in MESSY_RANK_3)])
 def test_recognizer_matches_pair_scan(make):
     m = make()
     assert is_projective_geometry(m) == _pair_scan_report(m)
+
+
+def test_recognizer_keeps_no_line_or_plane_table():
+    # a count of lines per plane and a list of all lines peak at 1.37 MiB
+    # on PG(6,2); the plane-size test keeps a mask, a set and a flag
+    m = pg(7, 2)
+    tracemalloc.start()
+    try:
+        assert is_projective_geometry(m).order == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 @pytest.mark.parametrize("n, q, seed", [(n, q, seed) for n in (3, 4) for q in (2, 3, 4)

@@ -4,6 +4,7 @@ line-and-plane contraction, prime-power arithmetic."""
 import hashlib
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import cache
@@ -499,6 +500,18 @@ def test_line_plane_validations():
         line_from_line_and_plane(m, line, plane & (plane - 1), 2)  # broken plane
     with pytest.raises(NotPrimePower):
         line_from_line_and_plane(m, line, plane, 6)
+
+
+@pytest.mark.parametrize("call", [
+    lambda q: round_dense_restriction(pg(3, 4), q, 1),
+    lambda q: line_from_line_and_plane(*fano_plus_point()[:3], q),
+], ids=["round-dense", "line-plane"])
+def test_huge_q_refused_before_factoring(call):
+    # a prime that trial division takes over a second to confirm
+    t0 = time.perf_counter()
+    with pytest.raises(PreconditionFailed):
+        call(100000000000031)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_line_plane_not_round_rejected():

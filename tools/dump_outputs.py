@@ -21,7 +21,10 @@ each checkout dumps its own code.  The document has six sections:
   on every walk input and registry catalog member of rank >= 1;
 - `recognizer`: the `PgReport` fields of `is_projective_geometry` on
   pg(n, q) for q in 2..9 (prime powers), on PG(n-1, p) inside pg(n, p^k),
-  and on the simplification of every walk input of rank >= 3;
+  on the simplification of every walk input of rank >= 3, and on inputs
+  whose lines all keep >= 3 points but some two disjoint lines are
+  coplanar: AG(2,3), AG(3,3), AG(2,4), and PG(n-1, q) less up to q - 2
+  seeded points of one seeded plane for n in 3, 4 and q in 3, 4, 5;
 - `procedures`: the subset that `skew_dense_subset` returns on seeded
   GF(2)/GF(3) inputs of ranks 2-6 at connectivity budgets 0-2, and that
   `round_restriction` returns on seeded linear matroids and direct sums
@@ -44,9 +47,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from matroidlab import (DensityTarget, DirectSum, GrowthPolicy,  # noqa: E402
-                        LinearMatroid, UniformMatroid,
+                        LinearMatroid, UniformMatroid, bits,
                         certificate_to_dict, field_make, is_projective_geometry,
-                        max_line_minor, pg, round_restriction, skew_dense_subset,
+                        mask_of, max_line_minor, pg, round_restriction, skew_dense_subset,
                         subfield_subgeometry)
 from matroidlab.core import contractions  # noqa: E402
 from matroidlab.errors import MatroidlabError  # noqa: E402
@@ -147,6 +150,22 @@ def _pg_record(m):
     return {"order": report.order, "plane": report.plane, "failure": report.failure}
 
 
+def _affine(n, q):
+    """AG(n-1, q): the points of pg(n, q) off the hyperplane x0 = 0."""
+    g = pg(n, q)
+    return g.restrict(mask_of(j for j, col in enumerate(g.columns) if col[0]))
+
+
+def _dented_plane(n, q):
+    """pg(n, q) less 1 to q - 2 seeded points of one seeded plane: two
+    lines of that plane that met at a deleted point become disjoint."""
+    rng = random.Random(9_700 + 10 * n + q)
+    g = pg(n, q)
+    plane = rng.choice(g.flats_of_rank(3))
+    drop = rng.sample(list(bits(plane)), rng.randint(1, q - 2))
+    return g.delete(mask_of(drop))
+
+
 def dump_recognizer():
     out = {}
     for q in (2, 3, 4, 5, 7, 8, 9):
@@ -158,6 +177,11 @@ def dump_recognizer():
     for name, m in walk_inputs().items():
         if m.rank_full >= 3:
             out[f"{name}/simple"] = _pg_record(m.simplify())
+    for n, q in [(3, 3), (4, 3), (3, 4)]:
+        out[f"ag-{n}-{q}"] = _pg_record(_affine(n, q))
+    for n in (3, 4):
+        for q in (3, 4, 5):
+            out[f"pg-{n}-{q}/dented-plane"] = _pg_record(_dented_plane(n, q))
     return out
 
 

@@ -275,26 +275,9 @@ class VectorPacking:
         return (v ^ hi) << 1 ^ (hi >> self.k - 1) * self.fold
 
     def scale(self, v: int, b: int) -> int:
-        """b·v for a field element b."""
-        out = 0
-        if self.p == 2:
-            while True:
-                if b & 1:
-                    out ^= v
-                b >>= 1
-                if not b:
-                    return out
-                v = self.mulx(v)
-        if self.k == 1:  # double and add
-            while True:
-                if b & 1:
-                    out = self.add(out, v)
-                b >>= 1
-                if not b:
-                    return out
-                v = self.add(v, v)
-        # odd p^k, k > 1: coordinate by coordinate through the tables
-        f, width, mask, i = self.field, self.width, self.mask, 0
+        """b·v for a field element b, coordinate by coordinate through the
+        field's product table."""
+        f, width, mask, i, out = self.field, self.width, self.mask, 0, 0
         row = b * f.q
         while v:
             c = v & mask

@@ -256,14 +256,16 @@ def cache_dir_from_env(default: str | None = None) -> str | None:
 
 
 def save_catalog(catalog: Catalog, directory: str) -> str:
-    """Write members as matrix files plus a manifest; atomic via temp+rename."""
+    """Write members as matrix files plus a manifest; atomic via temp+rename.
+    Member files carry the manifest's spec-hash stamp, so catalogs of one
+    name built from other specs (another seed) never overwrite them."""
     os.makedirs(directory, exist_ok=True)
     stamp = catalog.cache_key
     manifest = {"name": catalog.name, "spec": catalog.spec, "members": []}
     for member in catalog.members:
         m = member.matroid
         if isinstance(m, LinearMatroid):
-            fname = f"{catalog.name}-{len(manifest['members']):05d}.mat"
+            fname = f"{catalog.name}-{stamp}-{len(manifest['members']):05d}.mat"
             path = os.path.join(directory, fname)
             tmp = path + ".tmp"
             with open(tmp, "w") as fh:

@@ -128,17 +128,21 @@ def _report_out(args, report):
 
 
 def build_parser():
+    """The parser; `main` makes config values its defaults, so the command
+    line beats the config file, which beats MATROIDLAB_CACHE_DIR."""
     p = _Parser(prog="matroidlab", description=__doc__)
     p.add_argument("--format", choices=FORMATS, default="text")
     p.add_argument("--budget", type=int, default=None,
                    help="node cap for minor searches")
     p.add_argument("--seed", type=int, default=None,
                    help="reseed randomized catalogs")
-    p.add_argument("--cache-dir", default=None)
+    p.add_argument("--cache-dir", default=catmod.cache_dir_from_env())
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--canonical", action="store_true",
                    help="byte-stable JSON reports (timing zeroed)")
     sub = p.add_subparsers(dest="command", required=True)
+    reads = _Parser(add_help=False)
+    reads.add_argument("--input", default="-")
 
     s = sub.add_parser("pg", help="emit the matrix of PG(n-1,q)")
     s.add_argument("n", type=int)
@@ -146,25 +150,21 @@ def build_parser():
 
     for name, hlp in (("eps", "point count"), ("round", "roundness"),
                       ("lines", "long lines")):
-        s = sub.add_parser(name, help=hlp)
-        s.add_argument("--input", default="-")
+        s = sub.add_parser(name, help=hlp, parents=[reads])
         if name == "lines":
             s.add_argument("--min-points", type=int, default=3)
 
-    s = sub.add_parser("connectivity", help="local connectivity of two sets")
-    s.add_argument("--input", default="-")
+    s = sub.add_parser("connectivity", help="local connectivity of two sets",
+                       parents=[reads])
     s.add_argument("--a", required=True, help="comma-separated element indices")
     s.add_argument("--b", required=True)
 
-    s = sub.add_parser("find-minor", help="search for a small minor")
-    s.add_argument("--input", default="-")
+    s = sub.add_parser("find-minor", help="search for a small minor", parents=[reads])
     s.add_argument("--target", required=True, help="u2,5 style or 'fano'")
 
-    s = sub.add_parser("max-line", help="longest line over all minors")
-    s.add_argument("--input", default="-")
+    sub.add_parser("max-line", help="longest line over all minors", parents=[reads])
 
-    s = sub.add_parser("skew-dense", help="dense subset skew to a set")
-    s.add_argument("--input", default="-")
+    s = sub.add_parser("skew-dense", help="dense subset skew to a set", parents=[reads])
     s.add_argument("--a", required=True)
     s.add_argument("--b", required=True)
     s.add_argument("--lam", required=True, help="rational, e.g. 4/5")
@@ -172,18 +172,16 @@ def build_parser():
     s.add_argument("--l", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
 
-    s = sub.add_parser("round-restrict", help="dense round restriction")
-    s.add_argument("--input", default="-")
+    s = sub.add_parser("round-restrict", help="dense round restriction", parents=[reads])
     s.add_argument("--policy", required=True,
                    help="comma-separated f(1),f(2),... (integers)")
 
-    s = sub.add_parser("round-dense", help="round/dense dichotomy")
-    s.add_argument("--input", default="-")
+    s = sub.add_parser("round-dense", help="round/dense dichotomy", parents=[reads])
     s.add_argument("--q", type=int, required=True)
     s.add_argument("--t", type=int, required=True)
 
-    s = sub.add_parser("line-plane", help="long line from a line and a plane")
-    s.add_argument("--input", default="-")
+    s = sub.add_parser("line-plane", help="long line from a line and a plane",
+                       parents=[reads])
     s.add_argument("--line", required=True)
     s.add_argument("--plane", required=True)
     s.add_argument("--q", type=int, required=True)
@@ -193,8 +191,7 @@ def build_parser():
         s.add_argument("--catalog", required=True)
         s.add_argument("--l", type=int, required=True)
 
-    s = sub.add_parser("verify-cert", help="replay a certificate")
-    s.add_argument("--input", default="-")
+    s = sub.add_parser("verify-cert", help="replay a certificate", parents=[reads])
     s.add_argument("--cert", required=True)
 
     s = sub.add_parser("catalog", help="build or list catalogs")
@@ -202,12 +199,18 @@ def build_parser():
     s.add_argument("--name", default=None)
     s.add_argument("--out", default=None)
 
-    s = sub.add_parser("is-pg", help="projective geometry recognizer")
-    s.add_argument("--input", default="-")
+    sub.add_parser("is-pg", help="projective geometry recognizer", parents=[reads])
 
     s = sub.add_parser("gap-check", help="largest prime power <= l and l < 2q")
     s.add_argument("l", type=int)
     return p
+
+
+def _subset_out(args, m, sub):
+    _emit(args, {"subset": sorted(bits(sub)), "epsilon": m.epsilon(sub),
+                 "rank": m.rank(sub)},
+          [",".join(str(e) for e in bits(sub))])
+    return EXIT_OK
 
 
 def _cmd(args):
@@ -215,20 +218,21 @@ def _cmd(args):
     if cmd == "pg":
         sys.stdout.write(emit_matrix(pg(args.n, args.q)))
         return EXIT_OK
+    if cmd == "verify-cert":  # a bad certificate is refused before any input is read
+        with open(args.cert) as fh:
+            cert = certificate_from_dict(json.load(fh))
+    m = _load_matroid(args.input) if "input" in args else None
     if cmd == "eps":
-        m = _load_matroid(args.input)
         _emit(args, {"epsilon": m.epsilon(), "rank": m.rank_full},
               [str(m.epsilon())])
         return EXIT_OK
     if cmd == "lines":
-        m = _load_matroid(args.input)
         out = [{"elements": sorted(bits(f)), "points": m.epsilon(f)}
                for f in m.lines(args.min_points)]
         _emit(args, {"lines": out},
               [f"{row['points']} points: {row['elements']}" for row in out])
         return EXIT_OK
     if cmd == "round":
-        m = _load_matroid(args.input)
         ok, cover = m.roundness()
         payload = {"round": ok}
         lines = ["round" if ok else "not round"]
@@ -238,12 +242,10 @@ def _cmd(args):
         _emit(args, payload, lines)
         return EXIT_OK
     if cmd == "connectivity":
-        m = _load_matroid(args.input)
         val = m.local_connectivity(_mask_arg(args.a), _mask_arg(args.b))
         _emit(args, {"local_connectivity": val}, [str(val)])
         return EXIT_OK
     if cmd == "find-minor":
-        m = _load_matroid(args.input)
         target, tname = _parse_target(args.target)
         if target.rank_full == 2 and target.is_simple():
             outcome = has_u2n_minor(m, target.size, args.budget)
@@ -257,7 +259,6 @@ def _cmd(args):
         _emit(args, payload, lines)
         return EXIT_OK if outcome.status != UNKNOWN else EXIT_UNKNOWN
     if cmd == "max-line":
-        m = _load_matroid(args.input)
         res = max_line_minor(m, args.budget)
         payload = {"points": res.points, "exact": res.exact, "nodes": res.nodes,
                    "certificate": certificate_to_dict(res.certificate)
@@ -266,48 +267,32 @@ def _cmd(args):
               [f"{res.points}{'' if res.exact else ' (inexact, budget hit)'}"])
         return EXIT_OK if res.exact else EXIT_UNKNOWN
     if cmd == "skew-dense":
-        m = _load_matroid(args.input)
         target = DensityTarget(_rational(args.lam), args.q, args.l, args.k)
-        sub = skew_dense_subset(m, _mask_arg(args.a), _mask_arg(args.b), target)
-        _emit(args, {"subset": sorted(bits(sub)), "epsilon": m.epsilon(sub),
-                     "rank": m.rank(sub)},
-              [",".join(str(e) for e in bits(sub))])
-        return EXIT_OK
+        return _subset_out(args, m, skew_dense_subset(
+            m, _mask_arg(args.a), _mask_arg(args.b), target))
     if cmd == "round-restrict":
-        m = _load_matroid(args.input)
         policy = GrowthPolicy.from_table(int(t) for t in args.policy.split(","))
-        sub = round_restriction(m, policy)
-        _emit(args, {"subset": sorted(bits(sub)), "epsilon": m.epsilon(sub),
-                     "rank": m.rank(sub)},
-              [",".join(str(e) for e in bits(sub))])
-        return EXIT_OK
+        return _subset_out(args, m, round_restriction(m, policy))
     if cmd == "round-dense":
-        m = _load_matroid(args.input)
         outcome = round_dense_restriction(m, args.q, args.t)
-        claims = {k: (certificate_to_dict(v) if k == "certificate" else v)
-                  for k, v in outcome.claims.items()}
         _emit(args, {"kind": outcome.kind, "subset": sorted(bits(outcome.subset)),
-                     "claims": claims},
+                     "claims": outcome.claims},
               [outcome.kind, ",".join(str(e) for e in bits(outcome.subset))])
         return EXIT_OK
     if cmd == "line-plane":
-        m = _load_matroid(args.input)
         cert = line_from_line_and_plane(m, _mask_arg(args.line),
                                         _mask_arg(args.plane), args.q)
         d = certificate_to_dict(cert)
         _emit(args, {"certificate": d}, [json.dumps(d, sort_keys=True)])
         return EXIT_OK
     if cmd in ("check-kung", "density-profile", "extremal-census"):
-        cache = args.cache_dir or catmod.cache_dir_from_env()
-        catalog = catmod.registry_catalog(args.catalog, cache_dir=cache, seed=args.seed)
+        catalog = catmod.registry_catalog(args.catalog, cache_dir=args.cache_dir,
+                                          seed=args.seed)
         fn = {"check-kung": check_kung_bound, "density-profile": density_profile,
               "extremal-census": extremal_census}[cmd]
         report = fn(catalog, args.l, args.budget)
         return _report_out(args, report)
     if cmd == "verify-cert":
-        with open(args.cert) as fh:
-            cert = certificate_from_dict(json.load(fh))
-        m = _load_matroid(args.input)
         ok = verify_certificate(cert, m)
         _emit(args, {"verified": ok}, ["verified" if ok else "FAILED"])
         return EXIT_OK if ok else EXIT_VIOLATION
@@ -318,13 +303,11 @@ def _cmd(args):
             return EXIT_OK
         if not args.name:
             raise _UsageError("catalog build needs --name")
-        out_dir = args.out or args.cache_dir or catmod.cache_dir_from_env(".")
         catalog = catmod.registry_catalog(args.name, seed=args.seed)
-        path = catmod.save_catalog(catalog, out_dir)
+        path = catmod.save_catalog(catalog, args.out or args.cache_dir or ".")
         print(path)
         return EXIT_OK
     if cmd == "is-pg":
-        m = _load_matroid(args.input)
         report = is_projective_geometry(m)
         payload = {"order": report.order, "plane": report.plane,
                    "failure": report.failure}
@@ -345,15 +328,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            cfg = _read_config(args.config)
-            if "cache_dir" in cfg and not args.cache_dir:
-                args.cache_dir = cfg["cache_dir"]
-            if "budget" in cfg and args.budget is None:
-                args.budget = int(cfg["budget"])
-            if "seed" in cfg and args.seed is None:
-                args.seed = int(cfg["seed"])
-            if "format" in cfg and args.format == "text":
-                args.format = cfg["format"]
+            # config values become defaults: an option given on the command
+            # line still wins, and argparse converts them like the option
+            parser.set_defaults(**_read_config(args.config))
+            args = parser.parse_args(argv)
         if args.budget is not None and args.budget < 1:
             raise _UsageError(f"budget must be >= 1, got {args.budget}")
         return _cmd(args)

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .bitset import MAX_GROUND, bits, lowest, popcount
+from .bitset import MAX_GROUND, lowest, popcount
 from .certificates import ContractionLine
 from .core import Matroid
 from .errors import (InternalContradiction, NoFreeElement, NoSuchFlat,
                      NotPrimePower, PreconditionFailed)
 from .field import is_prime_power
 from .geometry import geometric_series_sum, is_projective_geometry, theta
-from .minors import ABSENT, FOUND, has_u2n_minor
 
 # -- prime powers ------------------------------------------------------------
 
@@ -60,6 +59,16 @@ def largest_prime_power_leq(l: int) -> int:
     while not is_prime_power(q):
         q -= 1
     return q
+
+
+def _require_prime_power(q: int):
+    """Refuse q unless it is a prime power.  No input with q above the
+    ground cap is valid (it needs more than q points), so such a q is
+    refused before is_prime_power factors it in O(sqrt q)."""
+    if q > MAX_GROUND:
+        raise PreconditionFailed(f"q = {q} exceeds the ground-set cap {MAX_GROUND}")
+    if not is_prime_power(q):
+        raise NotPrimePower(f"{q} is not a prime power")
 
 
 def gap_check(l: int) -> bool:
@@ -281,16 +290,18 @@ def _skew_to_element(m: Matroid, subset: int, e: int, lam: Fraction,
 def skew_dense_subset(matroid: Matroid, a: int, b: int,
                       target: DensityTarget) -> int:
     """A subset of `a` skew to `b`, keeping more than
-    lam * l^-k * q^rank points.
+    lam * l^-spent * q^rank points, for `spent` <= k the connectivity
+    units the run spends.
 
-    Mirrors the inductive argument: repeatedly contract elements of `b`
-    outside the closure of the current set (these contractions change none
-    of the relevant ranks or point counts; each round tests only the
-    remaining elements of `b` against that closure), then spend one
-    connectivity unit making the set skew to a single element of `b`.  The ambient matroid is
-    restricted to the working set plus that element for the single-element
-    step.  The returned set's skewness and density are re-verified against
-    the original matroid.
+    Mirrors the inductive argument: each round contracts the elements of
+    `b` outside the closure of the current set (these contractions change
+    none of the relevant ranks or point counts), then spends one
+    connectivity unit making the set skew to a single element of `b`.
+    The ambient matroid is restricted to the working set plus that element
+    for the single-element step.  The returned set's skewness and density
+    are re-verified against the original matroid; each step proves its
+    bound in a contraction by a set skew to the result, so the floor holds
+    there too.
     """
     if a & ~matroid.live or b & ~matroid.live:
         raise PreconditionFailed("sets extend outside the ground set")
@@ -313,27 +324,28 @@ def skew_dense_subset(matroid: Matroid, a: int, b: int,
     lam_now = lam
     spent = 0
     while True:
-        # contract the part of b lying outside the closure of the current
-        # set, least element first; a loop lies in every closure, so each
-        # is a non-loop
-        while True:
-            outside = rest & ~current._closure_impl(sub, rest)
-            if not outside:
-                break
-            low = outside & -outside
-            current = current.contract(low)
-            rest &= ~low
-        if current.local_connectivity(sub, rest) == 0:
+        # contracting the least element of b outside the closure of the
+        # current set, one at a time, takes the greedy extension of the set
+        # by b in index order; views flatten, so contracting those elements
+        # at once gives the same minor (and a view contracting nothing
+        # would only drop the cached points)
+        outside = current._extend_basis(sub, rest, popcount(rest))
+        if outside:
+            current = current.contract(outside)
+            rest &= ~outside
+        # now rest lies in cl(sub), so lambda(sub, rest) = r(rest): zero
+        # exactly when every element of rest is a loop
+        nonloops = rest & ~current._closure_impl(0, rest)
+        if not nonloops:
             break
         if spent >= k:
             raise InternalContradiction(
                 "connectivity did not drop within its budget")
-        e = next(e for e in bits(rest) if current.rank(1 << e) == 1)
-        sub = _skew_to_element(current, sub, e, lam_now, q, l)
+        sub = _skew_to_element(current, sub, lowest(nonloops), lam_now, q, l)
         lam_now = lam_now / l
         spent += 1
 
-    floor = lam * Fraction(1, l ** k) * q ** matroid.rank(sub)
+    floor = lam_now * q ** matroid.rank(sub)
     if not matroid.is_skew(sub, b):
         raise InternalContradiction("result is not skew to b in the original matroid")
     if not matroid.epsilon(sub) > floor:
@@ -414,18 +426,12 @@ def _witness_claims(sub: Matroid, q: int) -> dict:
 def round_dense_restriction(matroid: Matroid, q: int, t: int) -> RoundDenseOutcome:
     """Either a dense round restriction of rank >= t, or a density witness
     for a (q^2+2)-point-line minor; round inputs return "already-round".
-    On at most 10 elements a witness is confirmed by a line-minor search.
 
     Preconditions: q a prime power >= 4, t >= 1, rank >= 3t, and at least
     theta(q, rank) points.  The descent policy is f(k) = (q/2)^(s-k) theta(q, k)
     with s the full rank, in exact rationals.
     """
-    # no input with q above the ground cap is valid (it needs more than q
-    # points), so refuse it before is_prime_power factors q in O(sqrt q)
-    if q > MAX_GROUND:
-        raise PreconditionFailed(f"q = {q} exceeds the ground-set cap {MAX_GROUND}")
-    if not is_prime_power(q):
-        raise NotPrimePower(f"{q} is not a prime power")
+    _require_prime_power(q)
     if q < 4:
         raise PreconditionFailed(f"need q >= 4, got {q}")
     if t < 1:
@@ -451,16 +457,7 @@ def round_dense_restriction(matroid: Matroid, q: int, t: int) -> RoundDenseOutco
                 f"round restriction not strictly dense: {en} <= {bound}")
         return RoundDenseOutcome("round-dense", subset,
                                  {"rank": rn, "points": en, "theta_q": bound})
-    claims = _witness_claims(sub, q)
-    if matroid.size <= 10:
-        outcome = has_u2n_minor(matroid, q * q + 2)
-        claims["confirmed"] = outcome.status
-        if outcome.status == FOUND:
-            claims["certificate"] = outcome.certificate
-        elif outcome.status == ABSENT:
-            raise InternalContradiction(
-                "density witness contradicts a decided line-minor search")
-    return RoundDenseOutcome("density-witness", subset, claims)
+    return RoundDenseOutcome("density-witness", subset, _witness_claims(sub, q))
 
 
 # -- long line from a line and a plane --------------------------------------------
@@ -480,12 +477,7 @@ def line_from_line_and_plane(matroid: Matroid, line: int, plane: int, q: int,
     long line, and the contraction merges at most one full plane line into
     a point, leaving at least q^2 + 1 points on the resulting rank-2 flat.
     """
-    # no input with q above the ground cap is valid (it needs more than q
-    # points), so refuse it before is_prime_power factors q in O(sqrt q)
-    if q > MAX_GROUND:
-        raise PreconditionFailed(f"q = {q} exceeds the ground-set cap {MAX_GROUND}")
-    if not is_prime_power(q):
-        raise NotPrimePower(f"{q} is not a prime power")
+    _require_prime_power(q)
     for name, mask in (("line", line), ("plane", plane)):
         if mask & ~matroid.live:
             raise PreconditionFailed(f"{name} extends outside the ground set")

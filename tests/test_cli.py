@@ -357,3 +357,23 @@ def test_census_seed_reseeds_catalog(capsys, monkeypatch, tmp_path):
     assert zero == _kung_json(capsys, monkeypatch, ["--seed", "0"])
     assert zero["params"]["spec"]["seed"] == 0 and zero["records"] != five["records"]
     assert _kung_json(capsys, monkeypatch, [], ["--config", str(cfg)]) == five
+
+
+def test_command_line_format_beats_config(capsys, monkeypatch, tmp_path):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("format=json\n")
+    code, out, _ = run(capsys, monkeypatch, ["--config", str(cfg), "--format", "text", "eps"],
+                       stdin=emit_matrix(pg(3, 2)))
+    assert code == 0 and out == "7\n"
+
+
+def test_config_cache_dir_beats_environment(capsys, monkeypatch, tmp_path):
+    env_dir, cfg_dir = tmp_path / "env", tmp_path / "cfg"
+    monkeypatch.setenv("MATROIDLAB_CACHE_DIR", str(env_dir))
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text(f"cache_dir={cfg_dir}\n")
+    code, _, _ = run(capsys, monkeypatch, ["--config", str(cfg), "check-kung",
+                                           "--catalog", "random-gf3-r3", "--l", "4"])
+    assert code == 0
+    assert any(p.suffix == ".json" for p in cfg_dir.iterdir())
+    assert not env_dir.exists()

@@ -375,8 +375,8 @@ def _seeded_kernel_columns(spec, height, rng):
 
 @pytest.mark.parametrize("q", KERNEL_FIELDS)
 def test_table_normal_matches_scale(q):
-    # the chunked table rescaling against double-and-add (or the per-
-    # coordinate route) by the inverse of the leading coordinate
+    # the chunked table rescaling against the per-coordinate route by the
+    # inverse of the leading coordinate
     spec = field_make(q)
     rng = random.Random(700 + q)
     for height in range(1, 9):

@@ -82,6 +82,18 @@ def test_registry_catalog_cache_roundtrip(tmp_path):
            [m.matroid.columns for m in first.members]
 
 
+def test_cache_keeps_member_files_of_each_seed(tmp_path):
+    # two seeds of one catalog share a cache directory: the second build
+    # must not overwrite the member files the first one's manifest names
+    cache = str(tmp_path)
+    five = cat.registry_catalog("random-gf2-r4", cache_dir=cache, seed=5)
+    nine = cat.registry_catalog("random-gf2-r4", cache_dir=cache, seed=9)
+    columns = [m.matroid.columns for m in five.members]
+    assert columns != [m.matroid.columns for m in nine.members]
+    again = cat.registry_catalog("random-gf2-r4", cache_dir=cache, seed=5)
+    assert [m.matroid.columns for m in again.members] == columns
+
+
 def test_named_instances_build():
     for name in cat.REGISTRY["named-small"]["names"]:
         m = cat.named_instance(name)

@@ -359,6 +359,77 @@ def test_skew_dense_shortcuts_match_references(name, reference, monkeypatch):
     assert got == want
 
 
+def _skew_dense_subset_contracting_one_at_a_time(matroid, a, b, target):
+    """skew_dense_subset as it stood with one closure per contracted element
+    of b, a connectivity test per round and the floor at l^-k."""
+    if a & ~matroid.live or b & ~matroid.live:
+        raise PreconditionFailed("sets extend outside the ground set")
+    if a & b:
+        raise PreconditionFailed("sets must be disjoint")
+    lam, q, l, k = target.lam, target.q, target.l, target.k
+    conn = matroid.local_connectivity(a, b)
+    if conn > k:
+        raise PreconditionFailed(f"local connectivity {conn} exceeds the budget {k}")
+    eps_a = matroid.epsilon(a)
+    r_a = matroid.rank(a)
+    if not eps_a > lam * q ** r_a:
+        raise PreconditionFailed(
+            f"density hypothesis fails: {eps_a} <= {lam} * {q}^{r_a} "
+            f"= {lam * q ** r_a}")
+
+    current = matroid
+    sub = a
+    rest = b
+    lam_now = lam
+    spent = 0
+    while True:
+        while True:
+            outside = rest & ~current._closure_impl(sub, rest)
+            if not outside:
+                break
+            low = outside & -outside
+            current = current.contract(low)
+            rest &= ~low
+        if current.local_connectivity(sub, rest) == 0:
+            break
+        if spent >= k:
+            raise InternalContradiction(
+                "connectivity did not drop within its budget")
+        e = next(e for e in bits(rest) if current.rank(1 << e) == 1)
+        sub = procedures._skew_to_element(current, sub, e, lam_now, q, l)
+        lam_now = lam_now / l
+        spent += 1
+
+    floor = lam * Fraction(1, l ** k) * q ** matroid.rank(sub)
+    if not matroid.is_skew(sub, b):
+        raise InternalContradiction("result is not skew to b in the original matroid")
+    if not matroid.epsilon(sub) > floor:
+        raise InternalContradiction("result misses the density floor")
+    return sub
+
+
+def test_skew_dense_rounds_match_one_contraction_at_a_time():
+    # contracting the least element of b outside the closure, one at a
+    # time, takes the greedy basis extension of the set by b; after it the
+    # rest of b lies in the closure, so the set is skew to it exactly when
+    # all of it is loops
+    want = _criterion_05_results()[:200]
+    got = tuple(_skew_dense_subset_contracting_one_at_a_time(*skew_dense_instance(i))
+                for i in range(200))
+    assert got == want
+
+
+def test_skew_dense_huge_budget_takes_no_power_of_it():
+    # the floor is taken at the connectivity spent, never at l^-k
+    m = pg(3, 2)
+    a, b = 0b111111, 0b1000000
+    small = skew_dense_subset(m, a, b, DensityTarget(Fraction(1, 2), 2, 3, m.rank_full))
+    start = time.perf_counter()
+    huge = skew_dense_subset(m, a, b, DensityTarget(Fraction(1, 2), 2, 3, 10 ** 7))
+    assert time.perf_counter() - start < 0.5
+    assert huge == small == mask_of([1, 3, 5])
+
+
 # -- round restriction ------------------------------------------------------------------
 
 def test_round_restriction_round_input_is_identity():

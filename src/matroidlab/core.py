@@ -347,14 +347,20 @@ class LinearMatroid(Matroid):
     runs measurably slower without it.  cl(X) & within
     eliminates X once and keeps the columns of within - X that reduce to
     zero against that basis;
-    `_extend_basis` extends such a basis a column at a time.  The points
+    `_extend_basis` extends such a basis by each column whose residue
+    against it is nonzero, a column at a time.  The points
     of M/C are the columns projected modulo span(C); the root projects all
     its columns once (C empty, keyed by normal form), so points(within) on
     it and on its restrictions is a lookup that makes no normal form or
     rank call.  A walk child M/(C + e) refines its parent's keys by one
     inlined reduction step against the key of e's class, and rescales
-    (`VectorPacking.normal`, a table lookup per chunk) only the keys whose
-    leading coordinate that step cleared.
+    only the keys whose leading coordinate that step cleared.  Over GF(q),
+    q > 2, with q^nrows <= 2^13 (`field.NORMAL_TABLE_CAP`, which covers
+    PG(3,9)'s 6,561 vectors) projections rescale by one lookup in
+    `VectorPacking.normals`, a dict of all q^nrows - 1 nonzero vectors
+    built per packing by the first projection, never by a rank call;
+    above the cap they call `VectorPacking.chunk_normal`, which rescales
+    a chunk of the vector at a time.
     """
 
     def __init__(self, fieldspec, columns):
@@ -489,12 +495,15 @@ class LinearMatroid(Matroid):
                 v = s - ((s + bias & guard) >> shift) * p
         return v
 
-    def _normal_tables(self, v: int, basis: list) -> int:
-        """`_reduce_tables` scaled to 1 at its lowest nonzero coordinate:
-        the same for every column of one point of M/span(basis), so the key
-        of that point (0 if v lies in the span)."""
+    def _normal_tables(self, v: int, basis: list, normals: dict | None) -> int:
+        """`_reduce_tables` scaled to 1 at its lowest nonzero coordinate,
+        read from `normals` (`VectorPacking.normals`) where the packing has
+        that table: the same for every column of one point of
+        M/span(basis), so the key of that point (0 if v lies in the span)."""
         v = self._reduce_tables(v, basis)
-        return self._pack.normal(v) if v else 0
+        if not v:
+            return 0
+        return normals[v] if normals else self._pack.chunk_normal(v)
 
     def _echelon(self, subset: int) -> list:
         """An echelon basis of the columns of `subset`."""
@@ -516,18 +525,26 @@ class LinearMatroid(Matroid):
         return out
 
     def _extend_basis(self, base: int, scan: int, limit: int) -> int:
-        # one echelon basis of `base`, extended a column at a time
-        rank = self._rank_gf2 if self._gf2 else self._rank_tables
+        # one echelon basis of `base`, extended by each column of `scan`
+        # whose residue against it is nonzero
         basis = self._echelon(base)
-        n = len(basis)
+        gf2 = self._gf2
+        residue = self._reduce_gf2 if gf2 else self._reduce_tables
+        rows, vectors = self._rows, self._vecs
         taken = 0
         while scan and limit:
             low = scan & -scan
             scan ^= low
-            if rank(low, basis) > n:
+            v = residue(vectors[low.bit_length() - 1], basis)
+            if v:
                 taken |= low
-                n += 1
                 limit -= 1
+                if gf2:
+                    basis.append(v)
+                    basis.sort(reverse=True)
+                else:
+                    basis.append(rows.get(v) or self._row(v))
+                    basis.sort()
         return taken
 
     def _points_impl(self, within: int) -> list:
@@ -547,11 +564,14 @@ class LinearMatroid(Matroid):
         if parent:
             return self._project_child(*parent)
         basis = self._echelon(contract)
-        normal = self._reduce_gf2 if self._gf2 else self._normal_tables
+        if self._gf2:
+            normal, args = self._reduce_gf2, (basis,)
+        else:
+            normal, args = self._normal_tables, (basis, self._pack.normals())
         out = {}
         for e, v in enumerate(self._vecs):
             if within >> e & 1:
-                key = normal(v, basis)
+                key = normal(v, *args)
                 if key:
                     out[key] = out.get(key, 0) | 1 << e
         return out
@@ -564,7 +584,8 @@ class LinearMatroid(Matroid):
         Over GF(q), q > 2, a key also has 1 at its lowest nonzero coordinate
         and the row is zero below its pivot slot, so the key keeps that
         leading 1 unless it sat at the pivot slot; only then is it
-        renormalized."""
+        renormalized, by one lookup in `VectorPacking.normals` where the
+        packing has that table."""
         out = {}
         if self._gf2:  # the step of `_reduce_gf2`
             for v, c in classes.items():
@@ -577,7 +598,8 @@ class LinearMatroid(Matroid):
             return out
         pk = self._pack
         off, mults = self._rows.get(pivot) or self._row(pivot)
-        mask, normal, below = pk.mask, pk.normal, (1 << off) - 1
+        mask, normals, rescale = pk.mask, pk.normals(), pk.chunk_normal
+        below = (1 << off) - 1
         if pk.p == 2:  # the step of `_reduce_tables`
             for v, c in classes.items():
                 d = v >> off & mask
@@ -586,7 +608,7 @@ class LinearMatroid(Matroid):
                     if not v & below:
                         if not w:
                             continue
-                        w = normal(w)
+                        w = normals[w] if normals else rescale(w)
                     v = w
                 out[v] = out.get(v, 0) | c
             return out
@@ -599,7 +621,7 @@ class LinearMatroid(Matroid):
                 if not v & below:
                     if not w:
                         continue
-                    w = normal(w)
+                    w = normals[w] if normals else rescale(w)
                 v = w
             out[v] = out.get(v, 0) | c
         return out

@@ -13,6 +13,16 @@ reduces whole vectors at once.  The tables serve only to build a packing,
 to invert pivots, to build the per-packing tables that rescale a packed
 vector to its normal form and, over odd GF(p^k) with k > 1, to take
 scalar multiples.
+
+A normal form (a vector scaled to 1 at its lowest nonzero coordinate) has
+two routes.  Over GF(q), q > 2, with q^nrows <= NORMAL_TABLE_CAP = 2^13,
+the packing keeps one dict from each of its q^nrows - 1 nonzero vectors to
+its normal form, built on the first `VectorPacking.normals` call; every
+other packing rescales a chunk of the vector at a time.  2^13 is the least
+power of two that covers height 4 over GF(9) (PG(3,9), 6,561 vectors);
+it bounds a table at 8,191 entries, under a megabyte and 10 ms to
+build by the chunk route.  GF(2) needs no rescaling: every nonzero vector
+is its own normal form.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -21,6 +31,10 @@ from functools import lru_cache
 from .errors import NotPrimePower, SizeLimit
 
 MAX_FIELD_ORDER = 256
+
+# the largest q^nrows whose packing keeps a whole-vector table of normal
+# forms (see the module docstring); larger packings rescale by chunks
+NORMAL_TABLE_CAP = 1 << 13
 
 
 def is_prime(n: int) -> bool:
@@ -229,12 +243,19 @@ class VectorPacking:
     bit above any sum of two digits, and adding is one integer add and the
     subtraction of p from each slot whose sum reached p.  The raw slot
     pattern of an element is its own value when p = 2 or k = 1.
+
+    Normal forms: over GF(q), q > 2, with q^nrows at most
+    NORMAL_TABLE_CAP, `normals` is a dict of all q^nrows - 1 nonzero
+    vectors, built on its first call (one per packing, held as long as the
+    packing); otherwise `normals` is None and `chunk_normal` rescales each
+    vector a chunk at a time.
     """
 
     def __init__(self, field: FieldSpec, nrows: int):
         p, k = field.p, field.k
         w = 1 if p == 2 else (p - 1).bit_length() + 1
         self.field, self.p, self.k, self.w = field, p, k, w
+        self.nrows = nrows
         self.width = k * w
         self.mask = (1 << k * w) - 1
         self.pattern = [sum(a // p ** j % p << j * w for j in range(k))
@@ -255,6 +276,8 @@ class VectorPacking:
         self.chunk_bits = max(1, min(10 // self.width, nrows)) * self.width
         self.chunk_mask = (1 << self.chunk_bits) - 1
         self._scalings = {}
+        self._tabled = field.q > 2 and field.q ** nrows <= NORMAL_TABLE_CAP
+        self._normals = None  # built by `normals`
 
     def pack(self, col) -> int:
         width, pattern, v = self.width, self.pattern, 0
@@ -288,7 +311,28 @@ class VectorPacking:
         return out
 
     def normal(self, v: int) -> int:
-        """Nonzero v scaled to 1 at its lowest nonzero coordinate, where it
+        """Nonzero v scaled to 1 at its lowest nonzero coordinate: read from
+        the table of `normals` once that is built, else rescaled by chunks
+        (`chunk_normal`), so that a caller who wants only a few normal forms
+        (a rank call's basis rows) builds no table."""
+        table = self._normals
+        return table[v] if table else self.chunk_normal(v)
+
+    def normals(self) -> dict | None:
+        """A dict from every nonzero vector to its normal form, for loops
+        that rescale many keys: over GF(q), q > 2, with q^nrows at most
+        NORMAL_TABLE_CAP, the q^nrows - 1 nonzero vectors rescaled by
+        `chunk_normal` on the first call; None for any other packing, whose
+        callers rescale by `chunk_normal`."""
+        if self._normals is None and self._tabled:
+            vectors = [0]
+            for i in range(0, self.nrows * self.width, self.width):
+                vectors = [x | c << i for x in vectors for c in self.pattern]
+            self._normals = {v: self.chunk_normal(v) for v in vectors[1:]}
+        return self._normals
+
+    def chunk_normal(self, v: int) -> int:
+        """The normal form of nonzero v, whose lowest nonzero coordinate
         holds the slot pattern c: unless c = 1, v is mapped a chunk at a
         time through the table of inv(c)·x (`_scaling`)."""
         off = ((v & -v).bit_length() - 1) // self.width * self.width

@@ -373,11 +373,25 @@ def _seeded_kernel_columns(spec, height, rng):
     return cols
 
 
-@pytest.mark.parametrize("q", KERNEL_FIELDS)
-def test_table_normal_matches_scale(q):
-    # the chunked table rescaling against the per-coordinate route by the
-    # inverse of the leading coordinate
+@pytest.mark.parametrize("q, whole", [
+    *(pytest.param(q, None, id=str(q)) for q in KERNEL_FIELDS),
+    # whole-vector tables at the cap's edge: every nonzero vector
+    *(pytest.param(q, h, id=f"{q}-whole-h{h}") for q, h in [(3, 8), (4, 6), (8, 4), (9, 4)]),
+])
+def test_table_normal_matches_scale(q, whole):
+    # the table rescaling (by chunks, or whole vectors) against the
+    # per-coordinate route by the inverse of the leading coordinate
     spec = field_make(q)
+    if whole:
+        pk = VectorPacking(spec, whole)
+        table = pk.normals()
+        assert len(table) == q ** whole - 1
+        for col in product(range(q), repeat=whole):
+            lead = next((i for i, a in enumerate(col) if a), None)
+            if lead is not None:
+                v = pk.pack(col)
+                assert table[v] == pk.normal(v) == pk.scale(v, spec.inv[col[lead]])
+        return
     rng = random.Random(700 + q)
     for height in range(1, 9):
         pk = vector_packing(spec, height)
@@ -388,6 +402,43 @@ def test_table_normal_matches_scale(q):
             v = pk.pack(col)
             assert pk.normal(v) == pk.scale(v, spec.inv[col[lead]])
             assert pk.normal(v) >> lead * pk.width & pk.mask == 1
+
+
+@pytest.mark.parametrize("q, height", [(2, 13), (3, 9), (4, 7), (8, 5), (9, 5)])
+def test_no_normal_table_above_the_cap_or_over_gf2(q, height):
+    # GF(2) and a packing one height above the cap rescale by chunks and
+    # build no table, however many normal forms they are asked for
+    from matroidlab.field import NORMAL_TABLE_CAP
+
+    spec = field_make(q)
+    assert q == 2 or q ** (height - 1) <= NORMAL_TABLE_CAP < q ** height
+    pk = VectorPacking(spec, height)
+    assert pk.normals() is None
+    rng = random.Random(q)
+    for _ in range(200):
+        col = [rng.randrange(q) for _ in range(height)]
+        col[rng.randrange(height)] = rng.randrange(1, q)
+        lead = next(i for i, a in enumerate(col) if a)
+        v = pk.pack(col)
+        assert pk.normal(v) == pk.chunk_normal(v) == pk.scale(v, spec.inv[col[lead]])
+    assert pk.normals() is None and pk._normals is None
+
+
+def test_normal_table_is_built_by_points_not_by_rank(monkeypatch):
+    # building a matroid and asking ranks (whose basis rows take normal
+    # forms) builds no table; the first projection builds q^h - 1 entries
+    from matroidlab import field
+    from matroidlab.core import LinearMatroid
+
+    monkeypatch.setattr(field, "_PACKINGS", {})
+    rng = random.Random(9)
+    m = LinearMatroid(field_make(9), [[rng.randrange(9) for _ in range(4)]
+                                      for _ in range(30)])
+    assert m.rank(m.live) == 4 and m.rank(0b10110) == 3
+    assert m.closure(0b11) & 0b11 == 0b11
+    assert m._pack._normals is None
+    m.points()
+    assert len(m._pack._normals) == 9 ** 4 - 1
 
 
 @pytest.mark.parametrize("q", [243, 256])

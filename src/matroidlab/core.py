@@ -223,11 +223,21 @@ class Matroid:
         The search grows two closed cells, A and B, branching on the least
         element e not yet covered: e joins A first, and joins B only once
         that subtree has failed; a cell that would reach full rank is
-        pruned.  It is one loop over a stack of entries (A, I_A, B, I_B,
-        F, e): e = 0 marks a node to expand, e a single bit the deferred
-        branch that puts e into B.  I_A is an independent set with
-        cl(I_A) = A (likewise I_B), so r(A + e) = |I_A| + 1 for the
+        pruned.  It is one loop over a stack of entries (A, K_A, I_A, B,
+        K_B, I_B, F, e): e = 0 marks a node to expand, e a single bit the
+        deferred branch that puts e into B.  I_A is an independent set
+        with cl(I_A) = A (likewise I_B), so r(A + e) = |I_A| + 1 for the
         uncovered e and A + e closes as cl(I_A + e), with no rank call.
+        K_A is what A carries to grow by (`_cells`, chosen once per call).
+        Over a linear root it is the keyed points of M/I_A, whose classes
+        are exactly the elements outside A; the points of M/(I_A + e) are
+        one walk-child step from them (`LinearMatroid._project_child`),
+        and cl(I_A + e) is what their classes leave, so a growth makes no
+        elimination and grows the same closure.  The stack keeps one dict
+        per growth on the current path, so memory is O(path depth x points
+        of M): at most 2r dicts of at most eps(M) entries, bounded through
+        MAX_GROUND by 2 * MAX_GROUND^2 entries.  Other roots carry nothing
+        and grow by one closure of I_A + e.
 
         F holds every e the path has put into B by a deferred branch, and
         a grown A that meets F is pruned; no set of visited pairs is kept.
@@ -252,29 +262,28 @@ class Matroid:
         if r == 0:
             raise RankZero("roundness is undefined at rank 0")
         live = self.live
-        closure = self._closure_impl
-        loops = closure(0, live)
+        loops, top, grow = self._cells()
         # the first non-loop goes to side A; sides are symmetric
         x = live & ~loops
         x &= -x
-        stack = [(closure(x, live), x, loops, 0, 0, 0)] if r > 1 else []
+        stack = [(*grow(loops, 0, top, x), x, loops, top, 0, 0, 0)] if r > 1 else []
         hit = None
         while stack:
-            a, ia, b, ib, fa, e = stack.pop()
+            a, ka, ia, b, kb, ib, fa, e = stack.pop()
             if e:
                 if popcount(ib) + 1 < r:
-                    stack.append((a, ia, b | closure(ib | e, live & ~b), ib | e, fa | e, 0))
+                    stack.append((a, ka, ia, *grow(b, ib, kb, e), ib | e, fa | e, 0))
                 continue
             uncovered = live & ~(a | b)
             if not uncovered:
                 hit = a, ia, b, ib
                 break
             e = uncovered & -uncovered
-            stack.append((a, ia, b, ib, fa, e))
+            stack.append((a, ka, ia, b, kb, ib, fa, e))
             if popcount(ia) + 1 < r:
-                grown = closure(ia | e, live & ~a)
+                grown, carry = grow(a, ia, ka, e)
                 if not grown & fa:
-                    stack.append((a | grown, ia | e, b, ib, fa, 0))
+                    stack.append((grown, carry, ia | e, b, kb, ib, fa, 0))
         if hit is None:
             self._roundness = (True, None)
         else:
@@ -282,6 +291,35 @@ class Matroid:
             h2 = self._extend_to_hyperplane(*hit[2:])
             self._roundness = (False, HyperplanePairCover(h1, h2))
         return self._roundness
+
+    def _cells(self):
+        """How `roundness` grows a cell: (loops, carry of the empty set,
+        grow), where grow(cell, indep, carry, e), for indep independent
+        with cl(indep) = cell and e outside the cell, returns
+        (cl(indep + e), its carry).  Here a cell carries nothing and grows
+        by one closure of indep + e, tested only outside the cell."""
+        live, closure = self.live, self._closure_impl
+
+        def grow(cell, indep, carry, e):
+            return cell | closure(indep | e, live & ~cell), None
+        return closure(0, live), None, grow
+
+    def _projected_cells(self, project_child):
+        """`_cells` over a linear root: cl(I) carries the keyed points of
+        M/I, whose classes cover exactly the elements outside cl(I).  A
+        growth by e is one `project_child` step at the key of e's class,
+        and the grown cell is what the child's classes leave of `live`
+        (classes are disjoint, so their sum is their union)."""
+        live = self.live
+
+        def grow(cell, indep, keyed, e):
+            for key, c in keyed.items():
+                if c & e:
+                    break
+            keyed = project_child(keyed, key)
+            return live - sum(keyed.values()), keyed
+        top = self._keyed_points()
+        return live - sum(top.values()), top, grow
 
     def _extend_to_hyperplane(self, flat: int, indep: int) -> int:
         """The rank-(r-1) flat reached from the flat `flat` by adding the
@@ -354,7 +392,11 @@ class LinearMatroid(Matroid):
     it and on its restrictions is a lookup that makes no normal form or
     rank call.  A walk child M/(C + e) refines its parent's keys by one
     inlined reduction step against the key of e's class, and rescales
-    only the keys whose leading coordinate that step cleared.  Over GF(q),
+    only the keys whose leading coordinate that step cleared; a class
+    that no other class joins stays its parent's int.  A roundness cell
+    cl(I) grows the same way: it carries the keyed points of M/I, and a
+    growth by e is one such step, with no echelon basis (`_cells`,
+    `Matroid.roundness`).  Over GF(q),
     q > 2, with q^nrows <= 2^13 (`field.NORMAL_TABLE_CAP`, which covers
     PG(3,9)'s 6,561 vectors) projections rescale by one lookup in
     `VectorPacking.normals`, a dict of all q^nrows - 1 nonzero vectors
@@ -555,6 +597,9 @@ class LinearMatroid(Matroid):
             self._keyed = self._project(self.live, 0)
         return self._keyed
 
+    def _cells(self):
+        return self._projected_cells(self._project_child)
+
     def _project(self, within: int, contract: int, parent=None) -> dict:
         """Points of M/contract within `within`, keyed by normal form modulo
         span(contract) in order of least element (a column of form zero is
@@ -585,7 +630,8 @@ class LinearMatroid(Matroid):
         and the row is zero below its pivot slot, so the key keeps that
         leading 1 unless it sat at the pivot slot; only then is it
         renormalized, by one lookup in `VectorPacking.normals` where the
-        packing has that table."""
+        packing has that table.  A class that no other class joins is
+        kept as the same int, so a child holds no copy of it."""
         out = {}
         if self._gf2:  # the step of `_reduce_gf2`
             for v, c in classes.items():
@@ -594,7 +640,8 @@ class LinearMatroid(Matroid):
                     if not w:
                         continue
                     v = w
-                out[v] = out.get(v, 0) | c
+                got = out.get(v)
+                out[v] = c if got is None else got | c
             return out
         pk = self._pack
         off, mults = self._rows.get(pivot) or self._row(pivot)
@@ -610,7 +657,8 @@ class LinearMatroid(Matroid):
                             continue
                         w = normals[w] if normals else rescale(w)
                     v = w
-                out[v] = out.get(v, 0) | c
+                got = out.get(v)
+                out[v] = c if got is None else got | c
             return out
         bias, guard, shift, p = pk.bias, pk.guard, pk.w - 1, pk.p
         for v, c in classes.items():
@@ -623,7 +671,8 @@ class LinearMatroid(Matroid):
                         continue
                     w = normals[w] if normals else rescale(w)
                 v = w
-            out[v] = out.get(v, 0) | c
+            got = out.get(v)
+            out[v] = c if got is None else got | c
         return out
 
     def __repr__(self):
@@ -753,6 +802,11 @@ class MinorView(Matroid):
         if self._keyed is None and isinstance(self.base, LinearMatroid):
             self._keyed = self.base._project(self.live, self.contracted, self._parent)
         return super()._keyed_points()
+
+    def _cells(self):
+        if isinstance(self.base, LinearMatroid):
+            return self._projected_cells(self.base._project_child)
+        return super()._cells()
 
     def __repr__(self):
         return (f"MinorView(base={self.base!r}, contract=0x{self.contracted:x}, "

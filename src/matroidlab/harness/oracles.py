@@ -5,7 +5,7 @@ prunings the fast implementations rely on, so agreement is meaningful.
 Size limits keep the enumerations desk-scale.
 """
 
-from ..bitset import bits, lowest, popcount
+from ..bitset import bits, lowest, popcount, spread
 from ..certificates import Partition
 from ..core import ExplicitMatroid, Matroid
 from ..errors import SizeLimit
@@ -21,15 +21,7 @@ def to_explicit(matroid: Matroid) -> ExplicitMatroid:
     table = ExplicitMatroid.from_matroid(matroid, verify=False)
     elems = list(bits(matroid.live))
     for x in range(1 << table.n):
-        expanded = 0
-        y = x
-        i = 0
-        while y:
-            if y & 1:
-                expanded |= 1 << elems[i]
-            y >>= 1
-            i += 1
-        if table.table[x] != matroid.rank(expanded):
+        if table.table[x] != matroid.rank(spread(x, elems)):
             raise AssertionError("tabulated copy disagrees with the original")
     return table
 
@@ -254,6 +246,24 @@ def oracle_minor_isomorphic(matroid: Matroid, target: Matroid) -> bool:
     return False
 
 
+# the top byte of a 32-bit word -> b"1" when its bit 31 is 0
+_COIN = b"1" * 128 + b"0" * 128
+
+
+def coin_mask(rng, elems: list) -> int:
+    """The mask of the elements of `elems` (ascending) for which
+    `rng.random() < 0.5`, drawn in order, one draw per element, from a
+    single `getrandbits` call.  random() < 0.5 exactly when bit 31 of the
+    first of the two 32-bit words it draws is 0, and getrandbits(64 n)
+    lays the same 2n words out little-endian, so byte 8i + 3 is the top
+    byte of draw i's first word; `rng` ends in the loop's state."""
+    n = len(elems)
+    x = int(rng.getrandbits(64 * n).to_bytes(8 * n, "little")[3::8]
+            .translate(_COIN)[::-1] or b"0", 2)
+    # ascending and distinct, so elems is 0..n-1 iff it ends at n - 1
+    return x if not n or elems[-1] == n - 1 else spread(x, elems)
+
+
 def oracle_rank_axioms_sampled(matroid: Matroid, samples: int = 10_000,
                                seed: int = 0) -> None:
     """Randomized triple checks for matroids too large to tabulate."""
@@ -261,18 +271,9 @@ def oracle_rank_axioms_sampled(matroid: Matroid, samples: int = 10_000,
 
     rng = random.Random(seed)
     elems = list(bits(matroid.live))
-    n = len(elems)
-
-    def random_mask():
-        m = 0
-        for e in elems:
-            if rng.random() < 0.5:
-                m |= 1 << e
-        return m
-
     for _ in range(samples):
-        x = random_mask()
-        y = random_mask()
+        x = coin_mask(rng, elems)
+        y = coin_mask(rng, elems)
         rx, ry = matroid.rank(x), matroid.rank(y)
         if not 0 <= rx <= popcount(x):
             raise AssertionError("0 <= rank <= |X| fails")

@@ -1134,6 +1134,62 @@ def test_roundness_matches_the_visited_set_loop():
     assert checked > 300
 
 
+def _odd_field_linear(q, seed):
+    """Seeded GF(q) matrix of rank 3 or 4 with 5-10 random columns, a zero
+    column, a repeated column and a multiple of another, in seeded order."""
+    rng = random.Random(seed)
+    spec = field_make(q)
+    rank = rng.randint(3, 4)
+    cols = [tuple(rng.randrange(q) for _ in range(rank))
+            for _ in range(rng.randint(5, 10))]
+    cols += [(0,) * rank, rng.choice(cols),
+             tuple(spec.mul(rng.randrange(1, q), a) for a in rng.choice(cols))]
+    rng.shuffle(cols)
+    return LinearMatroid(spec, cols)
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 25])
+def test_roundness_projection_route_matches_the_closure_route(q):
+    # cells grown by projection (a linear root and its views) against cells
+    # grown by closure over the same index space (DirectSum([m]) has a
+    # non-linear root); GF(25) at height >= 3 rescales by `chunk_normal`
+    verdicts = set()
+    for seed in range(12):
+        m = _odd_field_linear(q, 9_100 + 31 * q + seed)
+        for view in _cached_views(m, random.Random(seed)):
+            if view.rank_full == 0:
+                continue
+            assert isinstance(view._cells()[1], dict)
+            got = view.roundness()
+            assert got == DirectSum([view]).roundness(), (q, seed, view)
+            if not got[0]:
+                assert verify_certificate(got[1], view)
+            verdicts.add(got[0])
+    assert verdicts == {True, False}
+    if q == 25:
+        assert vector_packing(field_make(25), 3).normals() is None
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_roundness_grows_cells_with_no_elimination(q, monkeypatch):
+    # the 200 growths on a 200x200 identity are projection steps: echelon
+    # bases are built only for the root's points and the two hyperplanes
+    from matroidlab.core import LinearMatroid as Linear
+
+    calls = [0]
+
+    def counted(self, subset, _echelon=Linear._echelon):
+        calls[0] += 1
+        return _echelon(self, subset)
+
+    monkeypatch.setattr(Linear, "_echelon", counted)
+    spec = field_make(q)
+    m = LinearMatroid(spec, [tuple(int(i == j) for i in range(200)) for j in range(200)])
+    ok, cover = m.roundness()
+    assert calls[0] <= 4
+    assert not ok and verify_certificate(cover, m)
+
+
 # -- certificates ------------------------------------------------------------------
 
 def test_partition_empty_part_is_false():

@@ -127,6 +127,25 @@ def test_oracle_rank_axioms_names_the_broken_axiom(n, table, broken):
     assert str(exc.value) == broken
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+@pytest.mark.parametrize("scattered", [False, True], ids=["contiguous", "scattered"])
+def test_coin_mask_matches_the_per_element_loop(seed, scattered):
+    # one getrandbits call gives the masks a draw of random() per element
+    # gave, and leaves the generator where that loop left it
+    import random
+
+    for n in range(71):
+        elems = [3 * i + 1 + (i & 1) for i in range(n)] if scattered else list(range(n))
+        fast, slow = random.Random(seed + n), random.Random(seed + n)
+        for _ in range(3):
+            want = 0
+            for e in elems:
+                if slow.random() < 0.5:
+                    want |= 1 << e
+            assert oracles.coin_mask(fast, elems) == want, (n, elems)
+        assert fast.random() == slow.random()
+
+
 def test_oracle_size_limits():
     with pytest.raises(SizeLimit):
         oracles.oracle_rank_axioms(pg(4, 2))
